@@ -36,7 +36,6 @@ from .gridsort import (
     Grid,
     GridParseError,
     bubble_column_sort,
-    column_maxima,
     format_grid,
     is_cols_sorted,
     is_rows_sorted,
@@ -56,7 +55,9 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 # ----------------------------- argument types ------------------------------
 
 def natural_arg(text: str) -> int:
-    if not text.isdigit():
+    # ASCII only, like the grid parser: str.isdigit alone also accepts
+    # fullwidth and superscript digits.
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"not a nonnegative decimal integer: {text!r}")
     return int(text)
 
@@ -196,12 +197,14 @@ def cmd_traj(args) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}; raise --max-steps", file=sys.stderr)
         return EXIT_USAGE
+    # A huge start costs one decimal conversion; make it once.
+    steps = [str(v) for v in traj.steps]
     if args.json:
         print(dumps_canonical({
             "base": system.base,
             "exponent": system.exponent,
-            "start": str(traj.start),
-            "steps": [str(v) for v in traj.steps],
+            "start": steps[0],
+            "steps": steps,
             "entry_index": traj.entry_index,
             "transient_length": traj.transient_length,
             "terminal_cycle": [str(m) for m in traj.terminal.members],
@@ -209,7 +212,7 @@ def cmd_traj(args) -> int:
         }), end="")
         return EXIT_OK
     print(f"base {system.base} exponent {system.exponent}")
-    print("orbit:", " ".join(str(v) for v in traj.steps))
+    print("orbit:", " ".join(steps))
     print(f"transient length: {traj.transient_length}")
     kind = "fixed point" if traj.terminal.is_fixed_point else f"cycle of length {traj.terminal.length}"
     print(f"terminal {kind}:", " ".join(str(m) for m in traj.terminal.members))

@@ -7,10 +7,21 @@ to strip leading zeros; the power sum of an empty vector is 0.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 DigitVector = tuple[int, ...]
+
+# digit_power_sum loops over the digits of values of up to 1024 bits, where
+# the loop is at least as fast as a split, and splits larger values with
+# _chunks into chunks below 2**_LEAF_BITS (two 30-bit limbs).
+_SPLIT_ABOVE = 1 << 1024
+_LEAF_BITS = 60
+# Certification maps millions of small values.  Comparing them first with a
+# one-limb constant takes the interpreter's fast int compare, so the size
+# test costs them nothing.
+_ONE_LIMB = 2**30 - 1
 
 
 @dataclass(frozen=True)
@@ -71,11 +82,22 @@ def from_digits(digits, sys: DigitSystem) -> int:
 
 
 def digit_count(n: int, sys: DigitSystem) -> int:
-    """Number of digits of n in the system's base; 0 has zero digits."""
+    """Number of digits of n in the system's base; 0 has zero digits.
+
+    The count is estimated from n.bit_length() and then corrected exactly
+    against powers of the base, so a huge n costs one power and at most
+    two multiplications rather than one division per digit.
+    """
     n = as_natural(n)
-    count = 0
-    while n:
-        n //= sys.base
+    if not n:
+        return 0
+    base = sys.base
+    # floor((bits - 1) / log2(base)) is at most count - 1; float rounding
+    # adds at most one, so the estimate never overshoots.
+    count = max(1, int((n.bit_length() - 1) / math.log2(base)))
+    smallest = base ** (count - 1)  # the smallest value with `count` digits
+    while smallest * base <= n:
+        smallest *= base
         count += 1
     return count
 
@@ -84,15 +106,51 @@ def digit_power_sum(n: int, sys: DigitSystem) -> int:
     """Sum of the exponent-th powers of the base-b digits of n.
 
     Leading-zero padding of the digit expansion cannot affect the result,
-    so the map is well defined on values rather than digit strings.
+    so the map is well defined on values rather than digit strings.  The
+    same fact lets a huge n be summed chunk by chunk (see _chunks).
     """
     n = as_natural(n)
-    e = sys.exponent
     total = 0
+    # n < base is a single digit: a base of over _LEAF_BITS bits has such
+    # chunks, and they go to the loop even above the cutoff.
+    if n > _ONE_LIMB and n >= _SPLIT_ABOVE and n >= sys.base:
+        # A loop, not sum() over a generator, which would close over sys
+        # and so slow down every call.
+        for chunk in _chunks(n, sys.base):
+            total += digit_power_sum(chunk, sys)
+        return total
+    base, e = sys.base, sys.exponent
     while n:
-        n, d = divmod(n, sys.base)
+        n, d = divmod(n, base)
         total += d**e
     return total
+
+
+def _chunks(n: int, base: int):
+    """Yield the k-digit base-`base` chunks of n, in no particular order.
+
+    Divide and conquer (Brent & Zimmermann, Modern Computer Arithmetic,
+    section 1.7): n is split by base**(k * 2**j), largest j first, so it
+    takes O(log n) levels of big divisions instead of one division per
+    digit.  Every chunk is below base**k; all but the most significant
+    one stand for zero-padded k-digit blocks.
+    """
+    k = max(1, _LEAF_BITS // base.bit_length())
+    powers = [base**k]
+    # Square until powers[-1]**2 > n, so that each split's high part is
+    # below its divisor and one level down can split it again.
+    while 2 * powers[-1].bit_length() - 2 < n.bit_length():
+        powers.append(powers[-1] ** 2)
+    stack = [(n, len(powers) - 1)]
+    while stack:
+        n, level = stack.pop()
+        while level >= 0 and n < powers[level]:
+            level -= 1
+        if level < 0:
+            yield n
+        else:
+            hi, lo = divmod(n, powers[level])
+            stack += ((hi, level - 1), (lo, level - 1))
 
 
 def repunit(p: int, sys: DigitSystem) -> int:

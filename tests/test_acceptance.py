@@ -23,6 +23,7 @@ from happygrid import (
     digit_power_sum,
     enumerate_attractors,
     is_rows_sorted,
+    repunit,
     sort_cols,
     sort_rows,
     step_until_repeat,
@@ -225,6 +226,21 @@ def test_digit_count_reduction_on_large_numbers(squares_atlas):
         "50-500 digit starts: digit count drops, orbits certified",
         ok and elapsed < 2.0,
         f"1000 starts, {elapsed:.2f} s",
+    )
+
+
+def test_power_sum_on_two_hundred_thousand_digits():
+    # the per-digit loop needs ~18 s here: one division of a huge value per digit
+    digits = 200_000
+    exact = digit_power_sum(7 * repunit(digits, SQUARES), SQUARES) == 49 * digits
+    start = random.Random(200_000).randrange(10 ** (digits - 1), 10**digits)
+    t0 = time.perf_counter()
+    digit_power_sum(start, SQUARES)
+    elapsed = time.perf_counter() - t0
+    report(
+        "digit power sum of a 2e5-digit value",
+        exact and elapsed < 3.0,
+        f"{elapsed:.2f} s",
     )
 
 

@@ -292,6 +292,8 @@ def test_grid_verify_bad_range(capsys):
         ["happy", "4.5"],
         ["nonsense"],
         ["grid", "verify", "--trials", "0"],
+        ["classify", "\uff14"],  # fullwidth 4: only ASCII digits are numbers
+        ["happy", "\u00b2"],  # superscript 2
     ],
 )
 def test_usage_errors_exit_2(argv):

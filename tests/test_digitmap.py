@@ -128,3 +128,67 @@ def test_power_sum_matches_string_oracle(n):
     # base 10 only: independent digit extraction through the decimal string
     squares = DigitSystem(10, 2)
     assert digit_power_sum(n, squares) == sum(int(ch) ** 2 for ch in str(n))
+
+
+# ----- the divide-and-conquer map against the plain per-digit loop ---------
+
+SPLIT_BITS = 1024  # digit_power_sum splits values of more bits than this
+
+
+def loop_power_sum(n, sys_):
+    """Oracle: one division per digit, no splitting."""
+    total = 0
+    while n:
+        n, d = divmod(n, sys_.base)
+        total += d**sys_.exponent
+    return total
+
+
+split_systems = st.builds(
+    DigitSystem,
+    base=st.one_of(st.integers(2, 37), st.just(10**9 + 7)),
+    exponent=st.integers(1, 5),
+)
+
+
+@st.composite
+def around_split(draw):
+    """Values near 2**1024, near base**k, or random up to a few thousand bits."""
+    sys_ = draw(split_systems)
+    offset = draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["cutoff", "base_power", "random"]))
+    if kind == "cutoff":
+        n = 2**SPLIT_BITS + offset
+    elif kind == "base_power":
+        n = sys_.base ** draw(st.integers(1, 3 * SPLIT_BITS)) + offset
+    else:
+        n = draw(st.integers(0, 2**4000))
+    return max(n, 0), sys_
+
+
+@given(case=around_split())
+def test_power_sum_matches_loop_oracle(case):
+    n, sys_ = case
+    assert digit_power_sum(n, sys_) == loop_power_sum(n, sys_)
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 16, 37, 10**9 + 7, 2**1100 + 1])
+def test_power_sum_at_split_boundaries(base):
+    # both sides of the cutoff, and all-maximal digits, which sum highest;
+    # a base above the cutoff has single-digit chunks that must not split
+    sys_ = DigitSystem(base, 3)
+    for bits in (SPLIT_BITS - 1, SPLIT_BITS, SPLIT_BITS + 1, 4 * SPLIT_BITS):
+        for n in (2**bits - 1, 2**bits, 2**bits + 1):
+            assert digit_power_sum(n, sys_) == loop_power_sum(n, sys_)
+    for k in (1, 2, 3, 20_000 // base.bit_length()):
+        n = base**k - 1  # k digits equal to base - 1
+        assert digit_power_sum(n, sys_) == k * sys_.digit_weight
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 37, 10**9 + 7])
+def test_digit_count_at_base_powers(base):
+    sys_ = DigitSystem(base, 2)
+    for k in (1, 2, 3, 17, 64, 500, 1000, 3000):
+        power = base**k
+        for n in (power - 1, power, power + 1):
+            assert digit_count(n, sys_) == len(to_digits(n, sys_))
