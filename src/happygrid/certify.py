@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain
 
 from .digitmap import DigitSystem, as_natural, digit_count, digit_power_sum
-from .dynamics import Cycle, canonicalize_cycle
+from .dynamics import Cycle, _walk_to_atlas, canonicalize_cycle
 
 
 class CertificationError(RuntimeError):
@@ -44,18 +44,12 @@ class DescentCertificate:
 
 @dataclass(frozen=True)
 class AttractorAtlas:
-    """The complete certified attractor set of a digit system.
-
-    classification_table, when present, maps every n in [0, B] to the
-    identifier (minimum member) of the attractor its orbit reaches; it is
-    optional because serialized atlases may drop it for compactness.
-    """
+    """The complete certified attractor set of a digit system."""
 
     system: DigitSystem
     certificate: DescentCertificate
     fixed_points: frozenset[int]
     cycles: frozenset[Cycle]
-    classification_table: tuple[int, ...] | None = None
 
     @cached_property
     def attractors(self) -> tuple[Cycle, ...]:
@@ -255,7 +249,6 @@ def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
         certificate=certificate,
         fixed_points=frozenset(c.members[0] for c in found if c.is_fixed_point),
         cycles=frozenset(c for c in found if not c.is_fixed_point),
-        classification_table=tuple(found[mark].identifier for mark in state),
     )
 
 
@@ -282,20 +275,15 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
     budget = max_steps if max_steps is not None else default_step_budget(hi, sys)
-    membership = atlas.member_to_attractor
     max_transient = 0
     for n in range(lo, hi + 1):
-        current = n
-        steps = 0
-        while current not in membership:
-            if steps >= budget:
-                return RangeReport(
-                    sys, lo, hi, ok=False, checked=n - lo,
-                    max_transient=max_transient, failing=n,
-                    reason=f"no atlas member within {budget} steps",
-                )
-            current = digit_power_sum(current, sys)
-            steps += 1
+        attractor, steps = _walk_to_atlas(n, atlas, budget)
+        if attractor is None:
+            return RangeReport(
+                sys, lo, hi, ok=False, checked=n - lo,
+                max_transient=max_transient, failing=n,
+                reason=f"no atlas member within {budget} steps",
+            )
         if steps > max_transient:
             max_transient = steps
     return RangeReport(sys, lo, hi, ok=True, checked=hi - lo + 1,
@@ -337,8 +325,7 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
 
     The cheap checks (fixed points fixed, cycles closed and canonical,
     attractors disjoint, certificate constants reproducible) always run.
-    With exhaustive=True the whole range [0, B] is re-verified, including
-    the classification table when present.
+    With exhaustive=True the whole range [0, B] is re-verified.
     """
     sys = atlas.system
     p0 = digit_reduction_threshold(sys)
@@ -364,11 +351,6 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
         if seen & set(cycle.members):
             raise CertificationError(f"attractors overlap on {seen & set(cycle.members)}")
         seen |= set(cycle.members)
-    table = atlas.classification_table
-    if table is not None and len(table) != bound + 1:
-        raise CertificationError(
-            f"classification table covers {len(table)} values, expected {bound + 1}"
-        )
     if exhaustive:
         invariance = forward_invariance_scan(sys, bound)
         if not invariance.ok:
@@ -385,17 +367,3 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
                 f"max transient {report.max_transient} != certificate "
                 f"{atlas.certificate.max_transient}"
             )
-        if table is not None:
-            identifiers = {a.identifier for a in atlas.attractors}
-            membership = atlas.member_to_attractor
-            for n, ident in enumerate(table):
-                if ident not in identifiers:
-                    raise CertificationError(f"table maps {n} to unknown attractor {ident}")
-                current = n
-                while current not in membership:
-                    current = digit_power_sum(current, sys)
-                if membership[current].identifier != ident:
-                    raise CertificationError(
-                        f"table maps {n} to {ident} but its orbit reaches "
-                        f"{membership[current].identifier}"
-                    )

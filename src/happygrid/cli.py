@@ -62,34 +62,28 @@ def natural_arg(text: str) -> int:
     return int(text)
 
 
-def base_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"base must be an integer >= 2, got {text!r}")
-    return value
+def start_arg(text: str) -> tuple[str, int]:
+    # (digits without leading zeros, value): echoing the digits saves
+    # converting a huge start back to decimal.
+    return text.lstrip("0") or "0", natural_arg(text)
 
 
-def exponent_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"exponent must be an integer >= 1, got {text!r}")
-    return value
+def int_at_least(minimum: int, message: str):
+    """An argparse type for integers >= minimum; errors quote the text."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{message}, got {text!r}")
+        return value
+    return parse
 
 
-def positive_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+base_arg = int_at_least(2, "base must be an integer >= 2")
+exponent_arg = int_at_least(1, "exponent must be an integer >= 1")
+positive_arg = int_at_least(1, "expected a positive integer")
 
 
 # --------------------------- canonical structured output -------------------
@@ -125,11 +119,7 @@ def atlas_record(atlas: AttractorAtlas) -> dict:
 
 
 def record_to_atlas(record: dict) -> AttractorAtlas:
-    """Rebuild an atlas from its cache record and re-check its invariants.
-
-    The classification table is not serialized; rebuilt atlases carry
-    None there, which every consumer accepts.
-    """
+    """Rebuild an atlas from its cache record and re-check its invariants."""
     system = DigitSystem(record["base"], record["exponent"])
     atlas = AttractorAtlas(
         system=system,
@@ -143,7 +133,6 @@ def record_to_atlas(record: dict) -> AttractorAtlas:
         cycles=frozenset(
             Cycle(tuple(int(m) for m in members)) for members in record["cycles"]
         ),
-        classification_table=None,
     )
     validate_atlas(atlas)
     return atlas
@@ -191,14 +180,14 @@ def load_or_build_atlas(system: DigitSystem, cache_dir: Path) -> AttractorAtlas:
 
 def cmd_traj(args) -> int:
     system = DigitSystem(args.base, args.exp)
-    budget = args.max_steps or default_step_budget(args.n, system)
+    digits, n = args.n
+    budget = args.max_steps or default_step_budget(n, system)
     try:
-        traj = step_until_repeat(args.n, system, budget)
+        traj = step_until_repeat(n, system, budget)
     except BudgetExceededError as exc:
         print(f"error: {exc}; raise --max-steps", file=sys.stderr)
         return EXIT_USAGE
-    # A huge start costs one decimal conversion; make it once.
-    steps = [str(v) for v in traj.steps]
+    steps = [digits] + [str(v) for v in traj.steps[1:]]
     if args.json:
         print(dumps_canonical({
             "base": system.base,
@@ -220,44 +209,31 @@ def cmd_traj(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    """`classify` names the attractor N reaches; `happy` only says if it is 1."""
     system = DigitSystem(args.base, args.exp)
+    digits, n = args.n
     atlas = load_or_build_atlas(system, args.cache_dir)
     try:
-        attractor = classify(args.n, system, atlas)
+        attractor = classify(n, system, atlas)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     happy = attractor.members == (1,)
+    full = args.command == "classify"
     if args.json:
-        print(dumps_canonical({
+        record = {
             "base": system.base,
             "exponent": system.exponent,
-            "start": str(args.n),
-            "attractor": cycle_record(attractor),
+            "start": digits,
             "happy": happy,
-        }), end="")
-        return EXIT_OK
-    kind = "fixed point" if attractor.is_fixed_point else f"cycle of length {attractor.length}"
-    print(f"{args.n} reaches {kind}:", " ".join(str(m) for m in attractor.members))
-    print(f"happy: {'yes' if happy else 'no'}")
-    return EXIT_OK
-
-
-def cmd_happy(args) -> int:
-    system = DigitSystem(args.base, args.exp)
-    atlas = load_or_build_atlas(system, args.cache_dir)
-    try:
-        happy = classify(args.n, system, atlas).members == (1,)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
-    if args.json:
-        print(dumps_canonical({
-            "base": system.base,
-            "exponent": system.exponent,
-            "start": str(args.n),
-            "happy": happy,
-        }), end="")
+        }
+        if full:
+            record["attractor"] = cycle_record(attractor)
+        print(dumps_canonical(record), end="")
+    elif full:
+        kind = "fixed point" if attractor.is_fixed_point else f"cycle of length {attractor.length}"
+        print(f"{digits} reaches {kind}:", " ".join(str(m) for m in attractor.members))
+        print(f"happy: {'yes' if happy else 'no'}")
     else:
         print("yes" if happy else "no")
     return EXIT_OK
@@ -285,8 +261,21 @@ def _drop_attractor(atlas: AttractorAtlas, identifier: int) -> AttractorAtlas:
         certificate=atlas.certificate,
         fixed_points=frozenset(x for x in atlas.fixed_points if x != identifier),
         cycles=frozenset(c for c in atlas.cycles if c.identifier != identifier),
-        classification_table=None,
     )
+
+
+def _range_stage(name: str, atlas: AttractorAtlas, lo: int, hi: int,
+                 max_steps: int | None) -> dict:
+    report = verify_range(atlas.system, atlas, lo, hi, max_steps=max_steps)
+    return {
+        "name": name,
+        "ok": report.ok,
+        "lo": str(lo),
+        "hi": str(hi),
+        "checked": report.checked,
+        "max_transient": report.max_transient,
+        "failing": None if report.failing is None else str(report.failing),
+    }
 
 
 def cmd_certify(args) -> int:
@@ -334,16 +323,7 @@ def cmd_certify(args) -> int:
     if lo > hi:
         print(f"error: empty verification range [{lo}, {hi}]", file=sys.stderr)
         return EXIT_USAGE
-    whole = verify_range(system, atlas, lo, hi, max_steps=args.max_steps)
-    stages.append({
-        "name": "range-verification",
-        "ok": whole.ok,
-        "lo": str(lo),
-        "hi": str(hi),
-        "checked": whole.checked,
-        "max_transient": whole.max_transient,
-        "failing": None if whole.failing is None else str(whole.failing),
-    })
+    stages.append(_range_stage("range-verification", atlas, lo, hi, args.max_steps))
 
     if system == DigitSystem(10, 2):
         identity = three_digit_identity_check()
@@ -354,16 +334,7 @@ def cmd_certify(args) -> int:
             "min_descent": identity.min_descent,
             "failing": identity.failing,
         })
-        low = verify_range(system, atlas, 0, 99, max_steps=args.max_steps)
-        stages.append({
-            "name": "two-digit-brute-force",
-            "ok": low.ok,
-            "lo": "0",
-            "hi": "99",
-            "checked": low.checked,
-            "max_transient": low.max_transient,
-            "failing": None if low.failing is None else str(low.failing),
-        })
+        stages.append(_range_stage("two-digit-brute-force", atlas, 0, 99, args.max_steps))
 
     ok = all(stage["ok"] for stage in stages)
     if args.json:
@@ -429,7 +400,10 @@ def cmd_grid_sort(args) -> int:
     else:  # bubble
         if args.trace:
             merges = list(trace_bubble(grid))
-        sorted_grid, passes = bubble_column_sort(grid)
+            sorted_grid = merges[-1].grid if merges else grid
+            passes = grid.rows - 1
+        else:
+            sorted_grid, passes = bubble_column_sort(grid)
         outputs.append(sorted_grid)
         record["output"] = [list(r) for r in sorted_grid.entries]
         record["pass_count"] = passes
@@ -482,9 +456,9 @@ def cmd_grid_verify(args) -> int:
             )
             problem = _check_grid(grid)
             if problem is not None:
-                return _grid_counterexample(args, grid, checked, problem)
+                return _grid_report(args, checked, grid, problem)
             checked += 1
-        return _grid_verified(args, checked)
+        return _grid_report(args, checked)
 
     rng = random.Random(args.seed)
     if args.min > args.max:
@@ -494,48 +468,34 @@ def cmd_grid_verify(args) -> int:
         grid = _random_grid(rng, args.rows, args.cols, args.min, args.max)
         problem = _check_grid(grid)
         if problem is not None:
-            return _grid_counterexample(args, grid, trial, problem)
-    return _grid_verified(args, args.trials)
+            return _grid_report(args, trial, grid, problem)
+    return _grid_report(args, args.trials)
 
 
-def _grid_verified(args, checked: int) -> int:
+def _grid_report(args, checked: int, grid: Grid | None = None,
+                 problem: str | None = None) -> int:
+    # A counterexample (grid) would disprove the theorem; dump a reproducer.
     if args.json:
         print(dumps_canonical({
-            "ok": True,
+            "ok": grid is None,
             "checked": checked,
             "rows": args.rows,
             "cols": args.cols,
             "mode": "exhaustive" if args.exhaustive else "random",
             "seed": None if args.exhaustive else args.seed,
-            "counterexample": None,
-        }), end="")
-    else:
-        shape = f"{args.rows}x{args.cols}"
-        print(f"verified {checked} grids of shape {shape}: ok")
-    return EXIT_OK
-
-
-def _grid_counterexample(args, grid: Grid, index: int, problem: str) -> int:
-    # A counterexample would disprove the theorem; dump a reproducer.
-    if args.json:
-        print(dumps_canonical({
-            "ok": False,
-            "checked": index,
-            "rows": args.rows,
-            "cols": args.cols,
-            "mode": "exhaustive" if args.exhaustive else "random",
-            "seed": None if args.exhaustive else args.seed,
-            "counterexample": {
-                "index": index,
+            "counterexample": None if grid is None else {
+                "index": checked,
                 "problem": problem,
                 "grid": [list(r) for r in grid.entries],
             },
         }), end="")
+    elif grid is None:
+        print(f"verified {checked} grids of shape {args.rows}x{args.cols}: ok")
     else:
         seed_note = "" if args.exhaustive else f" (seed {args.seed})"
-        print(f"counterexample at trial {index}{seed_note}: {problem}", file=sys.stderr)
+        print(f"counterexample at trial {checked}{seed_note}: {problem}", file=sys.stderr)
         print(format_grid(grid), file=sys.stderr)
-    return EXIT_VERIFICATION_FAILED
+    return EXIT_OK if grid is None else EXIT_VERIFICATION_FAILED
 
 
 # --------------------------------- parser ----------------------------------
@@ -565,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     traj = commands.add_parser("traj", help="iterate the map from N until a repeat")
-    traj.add_argument("n", type=natural_arg, metavar="N",
+    traj.add_argument("n", type=start_arg, metavar="N",
                       help="start value, any number of decimal digits")
     traj.add_argument("--max-steps", type=positive_arg, default=None,
                       help="step budget (default: certified bound)")
@@ -573,16 +533,16 @@ def build_parser() -> argparse.ArgumentParser:
     traj.set_defaults(handler=cmd_traj)
 
     cls = commands.add_parser("classify", help="name the attractor N reaches")
-    cls.add_argument("n", type=natural_arg, metavar="N")
+    cls.add_argument("n", type=start_arg, metavar="N")
     _add_system_flags(cls)
     _add_cache_flag(cls)
     cls.set_defaults(handler=cmd_classify)
 
     happy = commands.add_parser("happy", help="does the orbit of N reach 1?")
-    happy.add_argument("n", type=natural_arg, metavar="N")
+    happy.add_argument("n", type=start_arg, metavar="N")
     _add_system_flags(happy)
     _add_cache_flag(happy)
-    happy.set_defaults(handler=cmd_happy)
+    happy.set_defaults(handler=cmd_classify)
 
     attractors = commands.add_parser(
         "attractors", help="the certified attractor atlas of a digit system")

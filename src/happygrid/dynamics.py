@@ -4,7 +4,7 @@ An orbit under the digit-power-sum map always ends in a cycle (a fixed
 point being a cycle of length 1).  `step_until_repeat` discovers that
 cycle empirically with a visited set; `classify` instead walks until it
 hits a member of a certified attractor atlas, which is guaranteed to
-terminate (see the certify module).
+terminate (see the certify module); `certify.verify_range` shares it.
 """
 
 from __future__ import annotations
@@ -132,6 +132,24 @@ def _certified_budget(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> int:
     return digit_count(n, sys) + atlas.certificate.max_transient + 2
 
 
+def _walk_to_atlas(n: int, atlas: AttractorAtlas, budget: int) -> tuple[Cycle | None, int]:
+    """Iterate the map from n until it reaches a member of the atlas.
+
+    Returns the attractor and the number of steps taken; the attractor is
+    None if no member is reached within budget steps.
+    """
+    membership = atlas.member_to_attractor
+    sys = atlas.system
+    current = n
+    steps = 0
+    while current not in membership:
+        if steps >= budget:
+            return None, steps
+        current = digit_power_sum(current, sys)
+        steps += 1
+    return membership[current], steps
+
+
 def classify(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> Cycle:
     """Walk the orbit of n until it hits an attractor of the atlas.
 
@@ -141,17 +159,13 @@ def classify(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> Cycle:
     if atlas.system != sys:
         raise ValueError(f"atlas was certified for {atlas.system}, not {sys}")
     n = as_natural(n)
-    membership = atlas.member_to_attractor
-    current = n
-    for _ in range(_certified_budget(n, sys, atlas)):
-        attractor = membership.get(current)
-        if attractor is not None:
-            return attractor
-        current = digit_power_sum(current, sys)
-    raise RuntimeError(
-        f"orbit of {n} exceeded the certified budget; the atlas for "
-        f"{sys} is inconsistent (implementation bug)"
-    )
+    attractor, _ = _walk_to_atlas(n, atlas, _certified_budget(n, sys, atlas))
+    if attractor is None:
+        raise RuntimeError(
+            f"orbit of {n} exceeded the certified budget; the atlas for "
+            f"{sys} is inconsistent (implementation bug)"
+        )
+    return attractor
 
 
 def is_happy(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> bool:

@@ -133,6 +133,15 @@ def column_maxima(g: Grid) -> tuple[int, ...]:
     return tuple(map(max, *g.entries)) if g.rows > 1 else g.entries[0]
 
 
+def _bubble_passes(rows: list) -> Iterator[tuple[int, int]]:
+    """Merge adjacent rows in place; yield (pass, top row) after each merge."""
+    n = len(rows)
+    for k in range(1, n):
+        for i in range(n - k):
+            rows[i], rows[i + 1] = two_row_minmax(rows[i], rows[i + 1])
+            yield k, i
+
+
 def bubble_column_sort(g: Grid) -> tuple[Grid, int]:
     """Column-sort by n - 1 passes of adjacent two-row merges.
 
@@ -143,18 +152,13 @@ def bubble_column_sort(g: Grid) -> tuple[Grid, int]:
     Returns the sorted grid and the pass count n - 1.
     """
     rows = list(g.entries)
-    n = len(rows)
-    for k in range(1, n):
-        for i in range(n - k):
-            rows[i], rows[i + 1] = two_row_minmax(rows[i], rows[i + 1])
-    return Grid(tuple(rows)), n - 1
+    for _ in _bubble_passes(rows):
+        pass
+    return Grid(tuple(rows)), g.rows - 1
 
 
 def trace_bubble(g: Grid) -> Iterator[MergeStep]:
     """Yield a snapshot after every elementary merge of bubble_column_sort."""
     rows = list(g.entries)
-    n = len(rows)
-    for k in range(1, n):
-        for i in range(n - k):
-            rows[i], rows[i + 1] = two_row_minmax(rows[i], rows[i + 1])
-            yield MergeStep(pass_no=k, top_row=i, grid=Grid(tuple(rows)))
+    for k, i in _bubble_passes(rows):
+        yield MergeStep(pass_no=k, top_row=i, grid=Grid(tuple(rows)))

@@ -107,18 +107,6 @@ def test_squares_atlas_contents(squares_atlas):
     assert len(squares_atlas.member_to_attractor) == 10
 
 
-def test_squares_classification_table(squares, squares_atlas):
-    table = squares_atlas.classification_table
-    assert table is not None and len(table) == 1000
-    assert set(table) == {0, 1, 4}
-    membership = squares_atlas.member_to_attractor
-    for n in range(1000):
-        value = n
-        while value not in membership:
-            value = digit_power_sum(value, squares)
-        assert membership[value].identifier == table[n]
-
-
 @pytest.mark.parametrize("base,exponent", [(2, 1), (2, 2)], ids=str)
 def test_binary_atlases_have_only_fixed_points(base, exponent):
     atlas = enumerate_attractors(DigitSystem(base, exponent))
@@ -148,6 +136,18 @@ def test_verify_range_reports(squares, squares_atlas):
         verify_range(squares, squares_atlas, 5, 4)
 
 
+def test_verify_range_budget_boundary(squares, squares_atlas):
+    # n passes iff it reaches an atlas member in at most max_steps steps;
+    # 269 is the least value in [0, 999] whose transient is 11
+    exact = verify_range(squares, squares_atlas, 0, 999, max_steps=11)
+    assert exact.ok and exact.checked == 1000 and exact.max_transient == 11
+    short = verify_range(squares, squares_atlas, 0, 999, max_steps=10)
+    assert not short.ok
+    assert short.failing == 269 and short.checked == 269
+    assert short.max_transient == 10
+    assert short.reason == "no atlas member within 10 steps"
+
+
 def test_three_digit_descent(squares, squares_atlas):
     report = verify_range(squares, squares_atlas, 100, 999)
     assert report.ok and report.checked == 900
@@ -172,7 +172,6 @@ def test_verify_range_fails_on_truncated_atlas(squares, squares_atlas):
             cycles=frozenset(
                 c for c in squares_atlas.cycles if c.identifier != attractor.identifier
             ),
-            classification_table=None,
         )
         report = verify_range(squares, truncated, 0, 200, max_steps=64)
         assert not report.ok
@@ -190,7 +189,6 @@ def test_validate_atlas_catches_tampering(squares_atlas):
         certificate=squares_atlas.certificate,
         fixed_points=frozenset({0, 2}),  # 2 is not fixed
         cycles=squares_atlas.cycles,
-        classification_table=None,
     )
     with pytest.raises(CertificationError, match="not a fixed point"):
         validate_atlas(missing_fixed)
@@ -199,7 +197,6 @@ def test_validate_atlas_catches_tampering(squares_atlas):
         certificate=squares_atlas.certificate,
         fixed_points=squares_atlas.fixed_points,
         cycles=frozenset({Cycle(EIGHT_CYCLE[1:] + EIGHT_CYCLE[:1])}),
-        classification_table=None,
     )
     with pytest.raises(CertificationError, match="not canonical"):
         validate_atlas(rotated)

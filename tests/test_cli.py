@@ -74,6 +74,18 @@ def test_classify_and_happy(capsys, tmp_path):
     assert code == 0 and json.loads(out)["happy"] is True
 
 
+def test_start_echoes_argv_digits(capsys, tmp_path):
+    cache = ("--cache-dir", str(tmp_path))
+    code, out, _ = run_cli(capsys, "classify", "0012", "--json", *cache)
+    assert code == 0 and json.loads(out)["start"] == "12"
+    code, out, _ = run_cli(capsys, "happy", "000", "--json", *cache)
+    assert code == 0 and json.loads(out)["start"] == "0"
+    code, out, _ = run_cli(capsys, "traj", "0012", "--json")
+    assert code == 0 and json.loads(out)["steps"][0] == "12"
+    code, out, _ = run_cli(capsys, "classify", "0012", *cache)
+    assert code == 0 and out.startswith("12 reaches cycle of length 8:")
+
+
 def test_attractors_output_and_cache(capsys, tmp_path, monkeypatch):
     code, first, _ = run_cli(
         capsys, "attractors", "--base", "10", "--exp", "2",
@@ -220,6 +232,23 @@ def test_grid_sort_trace(capsys, monkeypatch):
     assert code == 0
     assert "# pass 1 merged rows 1,2" in out
     assert "# pass 2 merged rows 1,2" in out
+
+
+@pytest.mark.parametrize("text", [WORKED_GRID, "5 3 9 1\n"], ids=["worked", "one-row"])
+def test_grid_sort_trace_matches_untraced(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, plain_out, _ = run_cli(capsys, "grid", "sort", "--mode", "bubble", "--json")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code2, traced_out, _ = run_cli(
+        capsys, "grid", "sort", "--mode", "bubble", "--trace", "--json")
+    assert code == code2 == 0
+    plain, traced = json.loads(plain_out), json.loads(traced_out)
+    assert traced["output"] == plain["output"]
+    assert traced["pass_count"] == plain["pass_count"]
+    if traced["trace"]:
+        assert traced["trace"][-1]["grid"] == traced["output"]
+    else:
+        assert traced["output"] == traced["input"]
 
 
 def test_grid_sort_parse_error(capsys, tmp_path):
