@@ -18,6 +18,7 @@ from .certify import (
     AttractorAtlas,
     CertificationError,
     DescentCertificate,
+    TooLargeError,
     brute_bound,
     default_step_budget,
     digit_reduction_threshold,
@@ -72,6 +73,7 @@ __all__ = [
     "DigitVector",
     "Grid",
     "GridParseError",
+    "TooLargeError",
     "Trajectory",
     "as_natural",
     "brute_bound",

@@ -9,8 +9,10 @@ invocation (sorted keys, fixed layout) so outputs are byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -20,7 +22,9 @@ from .certify import (
     AttractorAtlas,
     CertificationError,
     DescentCertificate,
+    TooLargeError,
     brute_bound,
+    check_size,
     default_step_budget,
     digit_reduction_threshold,
     enumerate_attractors,
@@ -50,6 +54,10 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
+
+# `grid verify --exhaustive` checks at most this many grids.  The 3^9 3x3
+# grids take 0.7 s (Python 3.11, 2-vCPU Xeon), so 10**6 of them take ~40 s.
+MAX_EXHAUSTIVE_GRIDS = 10**6
 
 
 # ----------------------------- argument types ------------------------------
@@ -159,10 +167,16 @@ def load_cached_atlas(path: Path, system: DigitSystem) -> AttractorAtlas | None:
 
 
 def save_atlas(path: Path, atlas: AttractorAtlas) -> None:
+    # Write beside the cache, then rename over it: a concurrent reader sees
+    # the old file or the whole new one, never a half-written one.
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(dumps_canonical(atlas_record(atlas)), encoding="utf-8")
+        temporary.write_text(dumps_canonical(atlas_record(atlas)), encoding="utf-8")
+        os.replace(temporary, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            temporary.unlink()
         print(f"warning: could not write atlas cache {path}: {exc}", file=sys.stderr)
 
 
@@ -285,6 +299,12 @@ def cmd_certify(args) -> int:
     p0 = digit_reduction_threshold(system)
     bound = brute_bound(system, p0)
     p_max = max(args.p_max, p0)
+    lo = args.lo if args.lo is not None else 0
+    hi = args.hi if args.hi is not None else bound
+    if lo > hi:
+        print(f"error: empty verification range [{lo}, {hi}]", file=sys.stderr)
+        return EXIT_USAGE
+    check_size(hi - lo + 1, f"the verification range [{lo}, {hi}]")
 
     threshold = threshold_inequality_check(system, p_max)
     stages.append({
@@ -318,11 +338,6 @@ def cmd_certify(args) -> int:
     if args.drop_attractor is not None:
         atlas = _drop_attractor(atlas, args.drop_attractor)
 
-    lo = args.lo if args.lo is not None else 0
-    hi = args.hi if args.hi is not None else bound
-    if lo > hi:
-        print(f"error: empty verification range [{lo}, {hi}]", file=sys.stderr)
-        return EXIT_USAGE
     stages.append(_range_stage("range-verification", atlas, lo, hi, args.max_steps))
 
     if system == DigitSystem(10, 2):
@@ -448,6 +463,13 @@ def _check_grid(grid: Grid) -> str | None:
 def cmd_grid_verify(args) -> int:
     if args.exhaustive:
         cells = args.rows * args.cols
+        # An alphabet of 2 or more exceeds the cap once cells reaches the
+        # cap's bit length, so the power is never taken further than that.
+        grids = args.alphabet ** min(cells, MAX_EXHAUSTIVE_GRIDS.bit_length())
+        if grids > MAX_EXHAUSTIVE_GRIDS:
+            print(f"error: {args.alphabet}^{cells} grids of shape {args.rows}x{args.cols} "
+                  f"exceed the limit of {MAX_EXHAUSTIVE_GRIDS}", file=sys.stderr)
+            return EXIT_USAGE
         alphabet = range(args.alphabet)
         checked = 0
         for combo in itertools.product(alphabet, repeat=cells):
@@ -609,7 +631,11 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except TooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

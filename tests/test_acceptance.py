@@ -28,6 +28,7 @@ from happygrid import (
     sort_rows,
     step_until_repeat,
     two_row_minmax,
+    validate_atlas,
 )
 from happygrid.cli import main
 
@@ -167,6 +168,35 @@ def test_certified_atlas_for_squares():
         ok and elapsed < 0.050,
         f"{elapsed * 1e3:.1f} ms",
     )
+
+
+def test_certify_fifth_powers_end_to_end(capsys):
+    # B = 10^6 - 1; the per-value walk took ~36 s here
+    t0 = time.perf_counter()
+    code = main(["certify", "--exp", "5", "--json"])
+    elapsed = time.perf_counter() - t0
+    record = json.loads(capsys.readouterr().out)
+    stages = {stage["name"]: stage for stage in record["stages"]}
+    ok = (
+        code == 0 and record["ok"]
+        and stages["forward-invariance"]["max_image"] == "354294"
+        and (stages["attractor-enumeration"]["fixed_points"],
+             stages["attractor-enumeration"]["cycles"],
+             stages["attractor-enumeration"]["max_transient"]) == (8, 9, 57)
+        and stages["range-verification"]["checked"] == 10**6
+        and stages["range-verification"]["max_transient"] == 57
+    )
+    report("certify base 10 fifth powers end to end", ok and elapsed < 15.0,
+           f"{elapsed:.2f} s")
+
+
+def test_exhaustive_validation_of_fifth_powers():
+    atlas = enumerate_attractors(DigitSystem(10, 5))
+    t0 = time.perf_counter()
+    validate_atlas(atlas, exhaustive=True)  # raises on any violation
+    elapsed = time.perf_counter() - t0
+    report("exhaustive validation of the base 10 fifth-power atlas", elapsed < 15.0,
+           f"{elapsed:.2f} s")
 
 
 def test_grid_theorem_on_exhaustive_and_random_corpora(grid_corpora):

@@ -7,6 +7,7 @@ from happygrid import (
     CertificationError,
     Cycle,
     DigitSystem,
+    TooLargeError,
     brute_bound,
     default_step_budget,
     digit_count,
@@ -19,6 +20,14 @@ from happygrid import (
     validate_atlas,
     verify_range,
 )
+from happygrid import certify
+from happygrid.certify import (
+    MAX_VALUES,
+    _leading_digit_images,
+    _steps_to_atlas,
+    _trailing_digit_images,
+)
+from happygrid.dynamics import _walk_to_atlas
 
 from conftest import EIGHT_CYCLE
 
@@ -95,6 +104,139 @@ def test_invariance_scan_catches_escapes(cubes):
     assert not report.ok
     assert report.escaping == 1999
     assert report.max_image == 2188
+
+
+# systems whose tables and checker are compared value by value with the map
+TABLE_SYSTEMS = [(10, 2), (10, 3), (7, 5), (2, 1), (3, 3), (12, 3)]
+
+
+def without_attractor(atlas, identifier):
+    return AttractorAtlas(
+        system=atlas.system,
+        certificate=atlas.certificate,
+        fixed_points=atlas.fixed_points - {identifier},
+        cycles=frozenset(c for c in atlas.cycles if c.identifier != identifier),
+    )
+
+
+@pytest.mark.parametrize("base,exponent", TABLE_SYSTEMS, ids=str)
+def test_image_tables_equal_the_map(base, exponent):
+    system = DigitSystem(base, exponent)
+    bound = brute_bound(system, digit_reduction_threshold(system))
+    expected = [digit_power_sum(n, system) for n in range(bound + 1)]
+    assert list(_leading_digit_images(system, bound)) == expected
+    assert list(_trailing_digit_images(system, bound)) == expected
+
+
+@pytest.mark.parametrize("base,exponent,bound", [
+    (10, 3, 2187), (10, 3, 0), (10, 3, 1), (10, 2, 100), (7, 5, 50_000),
+    (3, 3, 50), (10, 30, 100),  # 9**30 overflows any machine int
+], ids=str)
+def test_truncated_tables_and_invariance_scan(base, exponent, bound):
+    # a table over [0, bound] is exact where the image is at most bound and
+    # above bound where the image is; the scan reports the first escape
+    system = DigitSystem(base, exponent)
+    expected = [digit_power_sum(n, system) for n in range(bound + 1)]
+    for table in (_leading_digit_images(system, bound),
+                  _trailing_digit_images(system, bound)):
+        assert len(table) == bound + 1
+        for image, want in zip(table, expected):
+            assert image == want if want <= bound else image > bound
+    report = forward_invariance_scan(system, bound)
+    escaping = next((n for n, image in enumerate(expected) if image > bound), None)
+    assert report.escaping == escaping
+    if escaping is None:
+        assert report.ok and report.checked == bound + 1
+        assert report.max_image == max(expected)
+    else:
+        assert not report.ok and report.checked == escaping + 1
+        assert report.max_image == expected[escaping]
+
+
+@pytest.mark.parametrize("base,exponent", TABLE_SYSTEMS, ids=str)
+def test_checker_steps_equal_walks(base, exponent):
+    # the reverse search's step count for every n in [0, B] is what the
+    # walk to the atlas takes, with and without an attractor, in and out of budget
+    system = DigitSystem(base, exponent)
+    atlas = enumerate_attractors(system)
+    bound = atlas.certificate.brute_bound
+    largest = max(a.identifier for a in atlas.attractors)
+    enough = atlas.certificate.max_transient + 1  # a walk past it never arrives
+    cases = [(atlas, enough), (atlas, 3), (without_attractor(atlas, largest), enough)]
+    for checked_atlas, budget in cases:
+        steps = _steps_to_atlas(_trailing_digit_images(system, bound), checked_atlas, budget)
+        assert len(steps) == bound + 1
+        for n in range(bound + 1):
+            attractor, taken = _walk_to_atlas(n, checked_atlas, budget)
+            assert steps[n] == (-1 if attractor is None else taken), n
+    full = _steps_to_atlas(_trailing_digit_images(system, bound), atlas, enough)
+    assert max(full) == atlas.certificate.max_transient
+
+
+# (lo, hi, max_steps) -> (ok, checked, max_transient, failing), as the
+# per-value walk over [lo, hi] reported them before the reverse search;
+# B = 999, and 269 is the least value whose transient is 11
+SQUARES_RANGES = {
+    (0, 269, 10): (False, 269, 10, 269),
+    (269, 269, 10): (False, 0, 0, 269),
+    (269, 269, None): (True, 1, 11, None),
+    (1000, 1000, None): (True, 1, 1, None),
+    (1000, 1000, 0): (False, 0, 0, 1000),
+    (900, 1500, None): (True, 601, 11, None),
+    (990, 3000, 5): (False, 0, 0, 990),
+    (990, 3000, 8): (False, 7, 8, 997),
+    (1000, 1100, None): (True, 101, 10, None),
+    (0, 20000, 11): (False, 15999, 11, 15999),
+    (0, 20000, 12): (True, 20001, 12, None),
+    (999, 2000, 10): (True, 1002, 10, None),
+}
+
+
+@pytest.mark.parametrize("lo,hi,max_steps", sorted(SQUARES_RANGES, key=str), ids=str)
+def test_verify_range_reports_like_the_walk(squares, squares_atlas, lo, hi, max_steps):
+    report = verify_range(squares, squares_atlas, lo, hi, max_steps=max_steps)
+    ok, checked, max_transient, failing = SQUARES_RANGES[(lo, hi, max_steps)]
+    assert (report.ok, report.checked, report.max_transient, report.failing) == (
+        ok, checked, max_transient, failing)
+    if not ok:
+        assert report.reason == f"no atlas member within {max_steps} steps"
+
+
+def test_verify_range_reports_like_the_walk_elsewhere(cubes, cubes_atlas, squares,
+                                                      squares_atlas):
+    report = verify_range(cubes, cubes_atlas, 9000, 30000, max_steps=12)
+    assert (report.ok, report.checked, report.max_transient, report.failing) == (
+        False, 477, 12, 9477)
+    report = verify_range(cubes, cubes_atlas, 9000, 30000)
+    assert (report.ok, report.checked, report.max_transient) == (True, 21001, 14)
+    report = verify_range(squares, without_attractor(squares_atlas, 4), 0, 999)
+    assert (report.ok, report.checked, report.max_transient, report.failing) == (
+        False, 2, 0, 2)
+    assert report.reason == "no atlas member within 1029 steps"
+    report = verify_range(squares, without_attractor(squares_atlas, 1), 500, 5000)
+    assert (report.ok, report.checked, report.max_transient, report.failing) == (
+        False, 36, 8, 536)
+
+
+def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch):
+    # 1999 -> 2188: with a brute bound of 2187 the range is not closed, and
+    # both the enumeration and the checker must say so rather than crash
+    monkeypatch.setattr(certify, "brute_bound", lambda sys, p0: 2187)
+    report = verify_range(cubes, cubes_atlas, 0, 100)
+    assert not report.ok and report.failing == 1999 and report.checked == 0
+    assert report.reason == "f(1999) escapes [0, 2187]"
+    with pytest.raises(CertificationError, match="image 2188 of 1999 escapes"):
+        enumerate_attractors(cubes)
+
+
+def test_oversized_work_is_refused(squares, squares_atlas):
+    with pytest.raises(TooLargeError, match="limit"):
+        enumerate_attractors(DigitSystem(10, 7))
+    with pytest.raises(TooLargeError, match="limit"):
+        forward_invariance_scan(squares, MAX_VALUES)
+    with pytest.raises(TooLargeError, match=r"range \[0, 10000000\]"):
+        verify_range(squares, squares_atlas, 0, MAX_VALUES)
+    assert verify_range(squares, squares_atlas, 1, MAX_VALUES, max_steps=0).failing == 2
 
 
 def test_squares_atlas_contents(squares_atlas):

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -198,6 +199,47 @@ def test_certify_detects_truncated_atlas(capsys):
     assert code == 1
     assert "CERTIFICATION FAILED" in out
     assert "range-verification" in err
+    # 2 -> 4 is the least value in [0, 999] whose orbit needs the dropped cycle
+    assert err == "error: stage range-verification failed at 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--exp", "7"],
+    ["certify", "--exp", "2", "--lo", "0", "--hi", "10000000"],
+    ["classify", "5", "--exp", "7"],
+    ["happy", "5", "--exp", "7"],
+    ["attractors", "--exp", "7"],
+], ids=lambda argv: " ".join(argv))
+def test_oversized_work_is_refused_up_front(capsys, tmp_path, argv):
+    if argv[0] != "certify":
+        argv = argv + ["--cache-dir", str(tmp_path)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "above the limit of 10000000" in err
+    assert time.perf_counter() - start < 2.0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_traj_ignores_the_table_limit(capsys):
+    code, out, _ = run_cli(capsys, "traj", "5", "--exp", "7", "--json")
+    assert code == 0 and json.loads(out)["steps"][:2] == ["5", "78125"]
+
+
+def test_atlas_cache_write_is_atomic(capsys, tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    # a write that fails leaves neither a cache nor a temporary file behind
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, "replace", fail)
+        code, out, err = run_cli(capsys, "attractors", "--json", "--cache-dir", str(tmp_path))
+    assert code == 0 and json.loads(out)["fixed_points"] == ["0", "1"]
+    assert "could not write atlas cache" in err and "disk full" in err
+    assert list(tmp_path.iterdir()) == []
+    code, _, err = run_cli(capsys, "attractors", "--json", "--cache-dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["atlas-b10-e2.json"]
 
 
 def test_grid_sort_file(capsys, tmp_path):
@@ -292,6 +334,18 @@ def test_grid_verify_exhaustive(capsys):
     assert record["ok"] is True
     assert record["checked"] == 16
     assert record["mode"] == "exhaustive"
+
+
+@pytest.mark.parametrize("shape", [("5", "5", "10"), ("1", "20", "2"), ("100000", "100000", "2")],
+                         ids="x".join)
+def test_grid_verify_exhaustive_refuses_too_many_grids(capsys, shape):
+    rows, cols, alphabet = shape
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "grid", "verify", "--exhaustive", "--rows", rows,
+                             "--cols", cols, "--alphabet", alphabet)
+    assert code == 2 and out == ""
+    assert "exceed the limit of 1000000" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_grid_verify_deterministic(capsys):
