@@ -12,13 +12,13 @@ Three stages, each checked by machine rather than trusted:
 
 The resulting atlas makes every classification provably terminating.
 
-Stages 2 and 3 read a flat table of the map over [0, B], built block by
-block from the leading digit.  `verify_range` checks an atlas
-independently: it builds its own table from the trailing digit and runs
-a breadth-first search backwards from the atlas members, which gives the
-exact number of steps from every value to the atlas.  Every table is an
-`array` of 4-byte ints: the work is O(B) in time and 4 bytes per value
-per table in memory.
+Stage 2 and the checker read one table of the map over [0, B], an
+`array` of 4-byte ints built block by block from the leading digit.
+Stage 3 builds no table: [0, B] is the set of (p0-1)-digit strings, so
+f([0, B]) is the set of sums of p0-1 digit powers, and enumeration walks
+that set alone.  `verify_range` checks an atlas independently, by a
+breadth-first search backwards from the atlas members over the table,
+which gives the exact number of steps from every value to the atlas.
 """
 
 from __future__ import annotations
@@ -155,25 +155,16 @@ def digit_reduction_threshold(sys: DigitSystem) -> int:
 
 
 def brute_bound(sys: DigitSystem, p0: int) -> int:
-    """Forward-invariant inclusive top B of the exhaustive range.
+    """Forward-invariant inclusive top B = base^(p0-1) - 1 of the exhaustive range.
 
-    B = max(base^(p0-1) - 1, (base-1)^exponent * (p0-1)).  Invariance:
-    a value below base^(p0-1) has at most p0-1 digits, so its image is at
-    most (base-1)^exponent * (p0-1) <= B; a value in [base^(p0-1), B] has
-    p >= p0 digits, so its image is below base^(p-1) <= value <= B.  The
-    threshold inequalities that argument leans on are re-evaluated here;
-    the exhaustive scan lives in forward_invariance_scan.
+    A value of [0, B] has at most p0-1 digits, so with w = (base-1)^exponent
+    its image is at most w*(p0-1) < w*p0 < base^(p0-1), the last step being
+    the threshold inequality at p0: the image lies in [0, B].  The
+    exhaustive scan lives in forward_invariance_scan.
     """
     if p0 != digit_reduction_threshold(sys):
         raise ValueError(f"p0={p0} is not the digit-reduction threshold of {sys}")
-    weight = sys.digit_weight
-    bound = max(sys.base ** (p0 - 1) - 1, weight * (p0 - 1))
-    for p in range(p0, digit_count(bound, sys) + 1):
-        if weight * p >= sys.base ** (p - 1):
-            raise CertificationError(
-                f"invariance argument broken for {sys} at p={p}"
-            )
-    return bound
+    return sys.base ** (p0 - 1) - 1
 
 
 def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
@@ -193,20 +184,15 @@ def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
     return ThresholdReport(sys, p0, p_max, ok=minimal, minimal=minimal)
 
 
-def _table_powers(sys: DigitSystem, bound: int) -> list[int]:
-    # Both image tables start here, so a table above MAX_VALUES is refused
-    # before anything is allocated.  Digit powers above bound + 1 are
-    # clamped to it: an image then stays exact when it is at most bound and
-    # lands above bound exactly when the real one does, and with
-    # bound < MAX_VALUES every entry, at most (bound + 1) * digit_count(bound),
-    # fits a 4-byte int.
-    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
-    return [min(d**sys.exponent, bound + 1) for d in range(sys.base)]
-
-
 def _leading_digit_images(sys: DigitSystem, bound: int) -> array:
     """f(n) for every n in [0, bound], from f(d * b^k + m) = d^e + f(m), m < b^k."""
-    powers = _table_powers(sys, bound)
+    # A table above MAX_VALUES is refused before anything is allocated.
+    # Digit powers above bound + 1 are clamped to it: an image then stays
+    # exact when it is at most bound and lands above bound exactly when the
+    # real one does, and with bound < MAX_VALUES every entry, at most
+    # (bound + 1) * digit_count(bound), fits a 4-byte int.
+    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
+    powers = [min(d**sys.exponent, bound + 1) for d in range(sys.base)]
     images = array("i", [0])
     size = 1  # images covers [0, size), size = b^k
     while size <= bound:
@@ -216,27 +202,6 @@ def _leading_digit_images(sys: DigitSystem, bound: int) -> array:
                 break
             images.extend(map(powers[d].__add__, images[:min(size, bound + 1 - start)]))
         size *= sys.base
-    return images
-
-
-def _trailing_digit_images(sys: DigitSystem, bound: int) -> array:
-    """f(n) for every n in [0, bound], from f(n) = f(n // b) + (n mod b)^e.
-
-    The independent checker's table: the trailing digit, not the leading
-    one, is split off.  Each round extends the table from [0, b^k) to
-    [0, b^(k+1)), writing the values ending in digit d as one strided slice.
-    """
-    powers = _table_powers(sys, bound)
-    base = sys.base
-    images = array("i", [0]) * (bound + 1)
-    size = 1
-    while size <= bound:
-        top = min(size * base, bound + 1)
-        quotients = images[:size]
-        for d in range(base):
-            count = len(range(d, top, base))
-            images[d:top:base] = array("i", map(powers[d].__add__, quotients[:count]))
-        size *= base
     return images
 
 
@@ -262,40 +227,55 @@ def forward_invariance_scan(sys: DigitSystem, bound: int) -> InvarianceReport:
 _ON_PATH = -1
 
 
+def _digit_power_sums(sys: DigitSystem, digits: int) -> set[int]:
+    """f over every string of the given number of digits: the sums of that many digit powers."""
+    powers = [d**sys.exponent for d in range(sys.base)]
+    sums = {0}
+    for _ in range(digits):
+        sums = {s + p for s in sums for p in powers}
+    return sums
+
+
 def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
     """Exhaustively classify [0, B] and return the certified atlas.
 
-    Every value of [0, B] maps into the image set S = f([0, B]), read off
-    the leading-digit image table, so every cycle lies in S.  The longest
+    B = b^k - 1 with k = p0 - 1, so [0, B] is exactly the set of k-digit
+    strings, leading zeros included, and the image set S = f([0, B]) is
+    the set of sums of k digit powers (the combination search for digital
+    invariants: Deimel & Jones, J. Recreational Math. 14, 1981-82).  Every
+    value of [0, B] maps into S, so every cycle lies in S.  The longest
     transient t in [0, B] is one more than the longest in S: t >= 1, since
     base -> 1 and 1 is fixed; a value with transient t maps to one in S
     with t - 1; and a value of S off the cycles is the image of a value
     with one step more.  Memoized walks from each value of S classify S:
     meeting a value on the current walk closes a brand-new cycle; meeting
-    a classified one inherits its transient.  Total work is O(B) for the
-    table and O(|S|) for the walks.
+    a classified one inherits its transient.  No table of [0, B] is built.
 
     An image escaping [0, B] would falsify the brute bound and raises
-    CertificationError; it cannot happen if brute_bound is correct.
+    CertificationError naming the least escaping value (from
+    forward_invariance_scan); it cannot happen if brute_bound is correct.
     """
     p0 = digit_reduction_threshold(sys)
     bound = brute_bound(sys, p0)
-    images = _leading_digit_images(sys, bound)
-    escaping = _first_escape(images, bound)
-    if escaping is not None:
+    # The checker that certifies this atlas needs a table of [0, B], so
+    # the atlas is refused where that table would be.
+    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
+    image_set = _digit_power_sums(sys, p0 - 1)
+    if max(image_set) > bound:
+        escape = forward_invariance_scan(sys, bound)
         raise CertificationError(
-            f"image {digit_power_sum(escaping, sys)} of {escaping} escapes "
+            f"image {escape.max_image} of {escape.escaping} escapes "
             f"[0, {bound}] for {sys}; brute bound is wrong (implementation bug)"
         )
     transient: dict[int, int] = {}
     found: list[Cycle] = []
-    for start in sorted(set(images)):
+    for start in image_set:
         path = []
         current = start
         while current not in transient:
             transient[current] = _ON_PATH
             path.append(current)
-            current = images[current]
+            current = digit_power_sum(current, sys)
         if transient[current] == _ON_PATH:
             # the walk closed a brand-new cycle inside its own path
             first = path.index(current)
@@ -363,10 +343,10 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     n passes iff its orbit meets a member in at most max_steps steps.  The
     report counts the values checked before the first failure and the
     longest transient among them.  Values up to the brute bound B take
-    their step counts from one reverse search over [0, B]
-    (_steps_to_atlas), independent of how the atlas was enumerated;
-    values above B walk the map one by one.  An image escaping [0, B]
-    fails the check.
+    their step counts from one reverse search over the table of [0, B]
+    (_steps_to_atlas), independent of the forward walks over digit-power
+    sums that enumerate the atlas; values above B walk the map one by one.
+    An image escaping [0, B] fails the check at the least escaping value.
     """
     if atlas.system != sys:
         raise ValueError(f"atlas was certified for {atlas.system}, not {sys}")
@@ -379,7 +359,7 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     max_transient = 0
     failing = None
     if lo <= bound:
-        images = _trailing_digit_images(sys, bound)
+        images = _leading_digit_images(sys, bound)
         escaping = _first_escape(images, bound)
         if escaping is not None:
             return RangeReport(sys, lo, hi, ok=False, checked=0, max_transient=0,
@@ -446,7 +426,8 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
 
     The cheap checks (fixed points fixed, cycles closed and canonical,
     attractors disjoint, certificate constants reproducible) always run.
-    With exhaustive=True the whole range [0, B] is re-verified.
+    With exhaustive=True, verify_range re-checks all of [0, B] (it also
+    fails on an escaping image) and the certificate's longest transient.
     """
     sys = atlas.system
     p0 = digit_reduction_threshold(sys)
@@ -473,11 +454,6 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
             raise CertificationError(f"attractors overlap on {seen & set(cycle.members)}")
         seen |= set(cycle.members)
     if exhaustive:
-        invariance = forward_invariance_scan(sys, bound)
-        if not invariance.ok:
-            raise CertificationError(
-                f"f({invariance.escaping}) = {invariance.max_image} escapes [0, {bound}]"
-            )
         report = verify_range(sys, atlas, 0, bound)
         if not report.ok:
             raise CertificationError(

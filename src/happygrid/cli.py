@@ -59,6 +59,14 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 # grids take 0.7 s (Python 3.11, 2-vCPU Xeon), so 10**6 of them take ~40 s.
 MAX_EXHAUSTIVE_GRIDS = 10**6
 
+# `grid verify` checks at most this many cells in all, a cell counting once
+# per started block of 16 rows of its grid, since the bubble passes merge a
+# column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
+# are 1x1 grids and single tall columns: 3*10**6 1x1 grids take 48 s and
+# one 6928x1 grid 35 s (Python 3.11, 2-vCPU Xeon), so the largest request
+# allowed takes about a minute.  One 1x(3*10**6) grid takes 20 s and 600 MB.
+MAX_GRID_CELLS = 3 * 10**6
+
 
 # ----------------------------- argument types ------------------------------
 
@@ -461,8 +469,8 @@ def _check_grid(grid: Grid) -> str | None:
 
 
 def cmd_grid_verify(args) -> int:
+    cells = args.rows * args.cols
     if args.exhaustive:
-        cells = args.rows * args.cols
         # An alphabet of 2 or more exceeds the cap once cells reaches the
         # cap's bit length, so the power is never taken further than that.
         grids = args.alphabet ** min(cells, MAX_EXHAUSTIVE_GRIDS.bit_length())
@@ -470,6 +478,19 @@ def cmd_grid_verify(args) -> int:
             print(f"error: {args.alphabet}^{cells} grids of shape {args.rows}x{args.cols} "
                   f"exceed the limit of {MAX_EXHAUSTIVE_GRIDS}", file=sys.stderr)
             return EXIT_USAGE
+    elif args.min > args.max:
+        print(f"error: empty value range [{args.min}, {args.max}]", file=sys.stderr)
+        return EXIT_USAGE
+    else:
+        grids = args.trials
+    counted = grids * cells * -(-args.rows // 16)
+    if counted > MAX_GRID_CELLS:
+        print(f"error: {grids} grids of shape {args.rows}x{args.cols} count {counted} cells, "
+              f"above the limit of {MAX_GRID_CELLS} (a cell counts once per 16 rows)",
+              file=sys.stderr)
+        return EXIT_USAGE
+
+    if args.exhaustive:
         alphabet = range(args.alphabet)
         checked = 0
         for combo in itertools.product(alphabet, repeat=cells):
@@ -483,9 +504,6 @@ def cmd_grid_verify(args) -> int:
         return _grid_report(args, checked)
 
     rng = random.Random(args.seed)
-    if args.min > args.max:
-        print(f"error: empty value range [{args.min}, {args.max}]", file=sys.stderr)
-        return EXIT_USAGE
     for trial in range(args.trials):
         grid = _random_grid(rng, args.rows, args.cols, args.min, args.max)
         problem = _check_grid(grid)

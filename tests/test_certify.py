@@ -23,9 +23,9 @@ from happygrid import (
 from happygrid import certify
 from happygrid.certify import (
     MAX_VALUES,
+    _digit_power_sums,
     _leading_digit_images,
     _steps_to_atlas,
-    _trailing_digit_images,
 )
 from happygrid.dynamics import _walk_to_atlas
 
@@ -70,6 +70,17 @@ def test_threshold_and_bound_constants(base, exponent):
     # minimality: the inequality fails just below the threshold
     if p0 > 2:
         assert system.digit_weight * (p0 - 1) >= base ** (p0 - 2)
+
+
+def test_brute_bound_covers_exactly_the_shorter_values():
+    # B = b^(p0-1) - 1, i.e. [0, B] is exactly the (p0-1)-digit strings,
+    # because w*(p0-1) < b^(p0-1): the image of such a string stays below b^(p0-1)
+    for base in range(2, 60):
+        for exponent in range(1, 25):
+            system = DigitSystem(base, exponent)
+            p0 = digit_reduction_threshold(system)
+            assert brute_bound(system, p0) == base ** (p0 - 1) - 1
+            assert (base - 1) ** exponent * (p0 - 1) < base ** (p0 - 1), system
 
 
 def test_brute_bound_rejects_wrong_threshold(squares):
@@ -125,7 +136,8 @@ def test_image_tables_equal_the_map(base, exponent):
     bound = brute_bound(system, digit_reduction_threshold(system))
     expected = [digit_power_sum(n, system) for n in range(bound + 1)]
     assert list(_leading_digit_images(system, bound)) == expected
-    assert list(_trailing_digit_images(system, bound)) == expected
+    # the enumerator's image set: sums of p0 - 1 digit powers
+    assert _digit_power_sums(system, digit_count(bound, system)) == set(expected)
 
 
 @pytest.mark.parametrize("base,exponent,bound", [
@@ -137,11 +149,10 @@ def test_truncated_tables_and_invariance_scan(base, exponent, bound):
     # above bound where the image is; the scan reports the first escape
     system = DigitSystem(base, exponent)
     expected = [digit_power_sum(n, system) for n in range(bound + 1)]
-    for table in (_leading_digit_images(system, bound),
-                  _trailing_digit_images(system, bound)):
-        assert len(table) == bound + 1
-        for image, want in zip(table, expected):
-            assert image == want if want <= bound else image > bound
+    table = _leading_digit_images(system, bound)
+    assert len(table) == bound + 1
+    for image, want in zip(table, expected):
+        assert image == want if want <= bound else image > bound
     report = forward_invariance_scan(system, bound)
     escaping = next((n for n, image in enumerate(expected) if image > bound), None)
     assert report.escaping == escaping
@@ -164,12 +175,12 @@ def test_checker_steps_equal_walks(base, exponent):
     enough = atlas.certificate.max_transient + 1  # a walk past it never arrives
     cases = [(atlas, enough), (atlas, 3), (without_attractor(atlas, largest), enough)]
     for checked_atlas, budget in cases:
-        steps = _steps_to_atlas(_trailing_digit_images(system, bound), checked_atlas, budget)
+        steps = _steps_to_atlas(_leading_digit_images(system, bound), checked_atlas, budget)
         assert len(steps) == bound + 1
         for n in range(bound + 1):
             attractor, taken = _walk_to_atlas(n, checked_atlas, budget)
             assert steps[n] == (-1 if attractor is None else taken), n
-    full = _steps_to_atlas(_trailing_digit_images(system, bound), atlas, enough)
+    full = _steps_to_atlas(_leading_digit_images(system, bound), atlas, enough)
     assert max(full) == atlas.certificate.max_transient
 
 

@@ -348,6 +348,35 @@ def test_grid_verify_exhaustive_refuses_too_many_grids(capsys, shape):
     assert time.perf_counter() - start < 1.0
 
 
+def test_grid_verify_cell_limit_boundary(capsys, monkeypatch):
+    # a 17-row grid counts each cell twice: two 17x1 grids count 68 cells
+    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 68)
+    args = ("grid", "verify", "--rows", "17", "--cols", "1")
+    code, out, _ = run_cli(capsys, *args, "--trials", "2")
+    assert code == 0 and "verified 2 grids of shape 17x1: ok" in out
+    code, out, err = run_cli(capsys, *args, "--trials", "3")
+    assert code == 2 and out == "" and "count 102 cells" in err
+    code, out, _ = run_cli(capsys, *args, "--exhaustive", "--alphabet", "1")
+    assert code == 0 and "verified 1 grids of shape 17x1: ok" in out
+    code, out, err = run_cli(capsys, "grid", "verify", "--rows", "35", "--cols", "1",
+                             "--exhaustive", "--alphabet", "1")
+    assert code == 2 and out == "" and "count 105 cells" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "1000000000", "--rows", "5", "--cols", "5"],
+    ["--trials", "1", "--rows", "100000", "--cols", "1"],  # one tall column
+    ["--exhaustive", "--alphabet", "1", "--rows", "100000", "--cols", "100000"],
+    ["--exhaustive", "--alphabet", "2", "--rows", "1", "--cols", "19"],  # 2^19 grids
+], ids=lambda argv: " ".join(argv))
+def test_grid_verify_refuses_too_many_cells(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "grid", "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "above the limit of 3000000" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_grid_verify_deterministic(capsys):
     args = ("grid", "verify", "--rows", "4", "--cols", "4",
             "--trials", "50", "--seed", "7", "--json")
