@@ -13,7 +13,7 @@ Three stages, each checked by machine rather than trusted:
 The resulting atlas makes every classification provably terminating.
 
 Stage 2 and the checker read one table of the map over [0, B], an
-`array` of 4-byte ints built block by block from the leading digit.
+`array` of 4-byte ints built once, block by block from the leading digit.
 Stage 3 builds no table: [0, B] is the set of (p0-1)-digit strings, so
 f([0, B]) is the set of sums of p0-1 digit powers, and enumeration walks
 that set alone.  `verify_range` checks an atlas independently, by a
@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 
 from .digitmap import DigitSystem, as_natural, digit_count, digit_power_sum
-from .dynamics import Cycle, _walk_to_atlas, canonicalize_cycle
+from .dynamics import Cycle, canonicalize_cycle
 
 # The most values one table, or one verified range, may cover.  (10, 6) has
-# B + 1 = 10**7: `certify --exp 6` takes 10 s with a peak RSS of 101 MB
+# B + 1 = 10**7: `certify --exp 6` takes 4-6 s with a peak RSS of 99 MB
 # (Python 3.11, 2-vCPU Xeon); (10, 7) would need ten times both.
 MAX_VALUES = 10**7
 
@@ -184,8 +184,12 @@ def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
     return ThresholdReport(sys, p0, p_max, ok=minimal, minimal=minimal)
 
 
+@lru_cache(maxsize=1)
 def _leading_digit_images(sys: DigitSystem, bound: int) -> array:
-    """f(n) for every n in [0, bound], from f(d * b^k + m) = d^e + f(m), m < b^k."""
+    """f(n) for every n in [0, bound], from f(d * b^k + m) = d^e + f(m), m < b^k.
+
+    The last table built is kept for every stage to share: do not mutate it.
+    """
     # A table above MAX_VALUES is refused before anything is allocated.
     # Digit powers above bound + 1 are clamped to it: an image then stays
     # exact when it is at most bound and lands above bound exactly when the
@@ -205,13 +209,6 @@ def _leading_digit_images(sys: DigitSystem, bound: int) -> array:
     return images
 
 
-def _first_escape(images: array, bound: int) -> int | None:
-    """The least n whose image lies above bound, or None."""
-    if max(images) <= bound:
-        return None
-    return next(n for n, image in enumerate(images) if image > bound)
-
-
 def forward_invariance_scan(sys: DigitSystem, bound: int) -> InvarianceReport:
     """Exhaustively confirm f([0, bound]) is contained in [0, bound]."""
     bound = as_natural(bound)
@@ -219,7 +216,7 @@ def forward_invariance_scan(sys: DigitSystem, bound: int) -> InvarianceReport:
     max_image = max(images)
     if max_image <= bound:
         return InvarianceReport(sys, bound, ok=True, checked=bound + 1, max_image=max_image)
-    escaping = _first_escape(images, bound)
+    escaping = next(n for n, image in enumerate(images) if image > bound)
     return InvarianceReport(sys, bound, ok=False, checked=escaping + 1,
                             max_image=digit_power_sum(escaping, sys), escaping=escaping)
 
@@ -342,11 +339,12 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
 
     n passes iff its orbit meets a member in at most max_steps steps.  The
     report counts the values checked before the first failure and the
-    longest transient among them.  Values up to the brute bound B take
-    their step counts from one reverse search over the table of [0, B]
-    (_steps_to_atlas), independent of the forward walks over digit-power
-    sums that enumerate the atlas; values above B walk the map one by one.
-    An image escaping [0, B] fails the check at the least escaping value.
+    longest transient among them.  Step counts come from one reverse search
+    over the table of [0, B] (_steps_to_atlas), independent of the forward
+    walks over digit-power sums that enumerate the atlas.  Every atlas
+    member lies in [0, B], so a value above B first applies the map until
+    it is at most B, then adds the table's count for where it landed.  An
+    image escaping [0, B] fails the check at the least escaping value.
     """
     if atlas.system != sys:
         raise ValueError(f"atlas was certified for {atlas.system}, not {sys}")
@@ -356,31 +354,28 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     check_size(hi - lo + 1, f"the range [{lo}, {hi}]")
     budget = max_steps if max_steps is not None else default_step_budget(hi, sys)
     bound = brute_bound(sys, digit_reduction_threshold(sys))
-    max_transient = 0
-    failing = None
-    if lo <= bound:
-        images = _leading_digit_images(sys, bound)
-        escaping = _first_escape(images, bound)
-        if escaping is not None:
-            return RangeReport(sys, lo, hi, ok=False, checked=0, max_transient=0,
-                               failing=escaping,
-                               reason=f"f({escaping}) escapes [0, {bound}]")
-        steps = _steps_to_atlas(images, atlas, budget)
-        del images
-        top = min(hi, bound) + 1
-        try:
-            failing = steps.index(-1, lo, top)
-        except ValueError:
-            pass
-        max_transient = max(steps[lo:top if failing is None else failing], default=0)
+    invariance = forward_invariance_scan(sys, bound)
+    if not invariance.ok:
+        escaping = invariance.escaping
+        return RangeReport(sys, lo, hi, ok=False, checked=0, max_transient=0,
+                           failing=escaping, reason=f"f({escaping}) escapes [0, {bound}]")
+    steps = _steps_to_atlas(_leading_digit_images(sys, bound), atlas, budget)
+    top = min(hi, bound) + 1
+    try:
+        failing = steps.index(-1, lo, top)
+    except ValueError:
+        failing = None
+    max_transient = max(memoryview(steps)[lo:top if failing is None else failing], default=0)
     if failing is None:
         for n in range(max(lo, bound + 1), hi + 1):
-            attractor, steps_taken = _walk_to_atlas(n, atlas, budget)
-            if attractor is None:
+            value, taken = n, 0
+            while value > bound:
+                value = digit_power_sum(value, sys)
+                taken += 1
+            if steps[value] < 0 or taken + steps[value] > budget:
                 failing = n
                 break
-            if steps_taken > max_transient:
-                max_transient = steps_taken
+            max_transient = max(max_transient, taken + steps[value])
     if failing is not None:
         return RangeReport(
             sys, lo, hi, ok=False, checked=failing - lo,
@@ -426,8 +421,8 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
 
     The cheap checks (fixed points fixed, cycles closed and canonical,
     attractors disjoint, certificate constants reproducible) always run.
-    With exhaustive=True, verify_range re-checks all of [0, B] (it also
-    fails on an escaping image) and the certificate's longest transient.
+    With exhaustive=True, verify_range re-checks all of [0, B] on the shared
+    table (failing on an escaping image) and the certificate's longest transient.
     """
     sys = atlas.system
     p0 = digit_reduction_threshold(sys)

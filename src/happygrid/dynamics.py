@@ -4,8 +4,7 @@ An orbit under the digit-power-sum map always ends in a cycle (a fixed
 point being a cycle of length 1).  `step_until_repeat` discovers that
 cycle empirically with a visited set; `classify` instead walks until it
 hits a member of a certified attractor atlas, which is guaranteed to
-terminate (see the certify module); `certify.verify_range` shares it
-for values above the brute bound.
+terminate (see the certify module).
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from happygrid import (
     validate_atlas,
     verify_range,
 )
-from happygrid import certify
+from happygrid import certify, cli, dynamics
 from happygrid.certify import (
     MAX_VALUES,
     _digit_power_sums,
@@ -164,10 +166,22 @@ def test_truncated_tables_and_invariance_scan(base, exponent, bound):
         assert report.max_image == expected[escaping]
 
 
+def walked_range(atlas, lo, hi, budget):
+    """(ok, checked, max_transient, failing) over [lo, hi], one walk to the atlas per value."""
+    longest = 0
+    for n in range(lo, hi + 1):
+        attractor, taken = _walk_to_atlas(n, atlas, budget)
+        if attractor is None:
+            return False, n - lo, longest, n
+        longest = max(longest, taken)
+    return True, hi - lo + 1, longest, None
+
+
 @pytest.mark.parametrize("base,exponent", TABLE_SYSTEMS, ids=str)
 def test_checker_steps_equal_walks(base, exponent):
     # the reverse search's step count for every n in [0, B] is what the
-    # walk to the atlas takes, with and without an attractor, in and out of budget
+    # walk to the atlas takes, with and without an attractor, in and out of
+    # budget; values above B, which descend into the table, report as the walk
     system = DigitSystem(base, exponent)
     atlas = enumerate_attractors(system)
     bound = atlas.certificate.brute_bound
@@ -180,6 +194,9 @@ def test_checker_steps_equal_walks(base, exponent):
         for n in range(bound + 1):
             attractor, taken = _walk_to_atlas(n, checked_atlas, budget)
             assert steps[n] == (-1 if attractor is None else taken), n
+        above = verify_range(system, checked_atlas, bound + 1, bound + 2000, max_steps=budget)
+        assert (above.ok, above.checked, above.max_transient, above.failing) == walked_range(
+            checked_atlas, bound + 1, bound + 2000, budget)
     full = _steps_to_atlas(_leading_digit_images(system, bound), atlas, enough)
     assert max(full) == atlas.certificate.max_transient
 
@@ -227,6 +244,30 @@ def test_verify_range_reports_like_the_walk_elsewhere(cubes, cubes_atlas, square
     report = verify_range(squares, without_attractor(squares_atlas, 1), 500, 5000)
     assert (report.ok, report.checked, report.max_transient, report.failing) == (
         False, 36, 8, 536)
+
+
+def test_values_above_the_bound_map_once_each(squares, squares_atlas, monkeypatch):
+    # every value of [1000, 1999] drops to at most 999 in one step, and the
+    # step table of [0, 999] counts the rest: the map runs once per value
+    calls = []
+
+    def counted(n, sys):
+        calls.append(n)
+        return digit_power_sum(n, sys)
+
+    monkeypatch.setattr(certify, "digit_power_sum", counted)
+    monkeypatch.setattr(dynamics, "digit_power_sum", counted)
+    report = verify_range(squares, squares_atlas, 1000, 1999)
+    assert report.ok and report.checked == 1000
+    assert len(calls) == 1000
+
+
+def test_certify_builds_one_table(capsys):
+    # the invariance and range stages share the table of [0, B]
+    _leading_digit_images.cache_clear()
+    assert cli.main(["certify", "--exp", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert _leading_digit_images.cache_info().misses == 1
 
 
 def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch):
