@@ -12,28 +12,37 @@ Three stages, each checked by machine rather than trusted:
 
 The resulting atlas makes every classification provably terminating.
 
-Stage 2 and the checker read one table of the map over [0, B], an
-`array` of 4-byte ints built once, block by block from the leading digit.
-Stage 3 builds no table: [0, B] is the set of (p0-1)-digit strings, so
-f([0, B]) is the set of sums of p0-1 digit powers, and enumeration walks
-that set alone.  `verify_range` checks an atlas independently, by a
-breadth-first search backwards from the atlas members over the table,
-which gives the exact number of steps from every value to the atlas.
+B = b^k - 1 with k = p0 - 1, so [0, B] is exactly the set of k-digit
+strings, leading zeros included, and f depends only on a string's digit
+multiset.  Stage 2 and the checker therefore read the C(k+b-1, b-1) digit
+multisets of [0, B], evaluated once per process, instead of its B + 1
+values: each multiset's image, and the number of values it stands for.
+Stage 3 builds no table either: f([0, B]) is the set of sums of k digit
+powers, and enumeration walks that set alone.  `verify_range` checks an
+atlas independently, by a breadth-first search backwards from the atlas
+members over that image set, which gives the exact number of steps from
+every value to the atlas.  Sub-ranges, values above B and any failure use
+a table of the map over [0, B] instead, an `array` of 4-byte ints built
+block by block from the leading digit, which names the least failing value.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain, combinations_with_replacement, repeat
+from math import factorial
+from typing import NamedTuple
 
 from .digitmap import DigitSystem, as_natural, digit_count, digit_power_sum
 from .dynamics import Cycle, canonicalize_cycle
 
-# The most values one table, or one verified range, may cover.  (10, 6) has
-# B + 1 = 10**7: `certify --exp 6` takes 4-6 s with a peak RSS of 99 MB
-# (Python 3.11, 2-vCPU Xeon); (10, 7) would need ten times both.
+# The most values one table, one verified range or one atlas may cover.
+# (10, 6) has B + 1 = 10**7.  `certify --exp 6` reads its 11,440 digit
+# multisets and takes 0.2-0.3 s with a peak RSS of 19 MB, but a failing one
+# reads the table of 10**7 values and takes 4.3 s and 100 MB (Python 3.11,
+# 2-vCPU Xeon).  The atlas keeps this cap until one on the multiset count
+# is measured.
 MAX_VALUES = 10**7
 
 
@@ -51,8 +60,7 @@ def check_size(count: int, what: str) -> None:
         raise TooLargeError(f"{what} holds {count} values, above the limit of {MAX_VALUES}")
 
 
-@dataclass(frozen=True)
-class DescentCertificate:
+class DescentCertificate(NamedTuple):
     """Constants proving that exhaustive enumeration of [0, B] is complete.
 
     p0: least digit count from which the map strictly loses digits.
@@ -66,14 +74,17 @@ class DescentCertificate:
     max_transient: int
 
 
-@dataclass(frozen=True)
-class AttractorAtlas:
-    """The complete certified attractor set of a digit system."""
-
+class _AtlasFields(NamedTuple):
     system: DigitSystem
     certificate: DescentCertificate
     fixed_points: frozenset[int]
     cycles: frozenset[Cycle]
+
+
+class AttractorAtlas(_AtlasFields):
+    """The complete certified attractor set of a digit system."""
+
+    # No __slots__: the cached properties below live in the instance __dict__.
 
     @cached_property
     def attractors(self) -> tuple[Cycle, ...]:
@@ -90,8 +101,7 @@ class AttractorAtlas:
         return table
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     system: DigitSystem
     p0: int
     p_max: int
@@ -100,8 +110,7 @@ class ThresholdReport:
     failing_p: int | None = None
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     system: DigitSystem
     bound: int
     ok: bool
@@ -110,8 +119,7 @@ class InvarianceReport:
     escaping: int | None = None
 
 
-@dataclass(frozen=True)
-class RangeReport:
+class RangeReport(NamedTuple):
     system: DigitSystem
     lo: int
     hi: int
@@ -122,8 +130,7 @@ class RangeReport:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     ok: bool
     checked: int
     min_descent: int
@@ -209,9 +216,67 @@ def _leading_digit_images(sys: DigitSystem, bound: int) -> array:
     return images
 
 
+class _Multisets(NamedTuple):
+    counts: dict[int, int]           # image -> how many values of [0, bound] map to it
+    preimages: dict[int, list[int]]  # image -> the images that map to it
+    checked: int                     # the counts' sum, bound + 1
+    max_image: int
+
+
+@lru_cache(maxsize=1)
+def _digit_multisets(sys: DigitSystem, bound: int) -> _Multisets | None:
+    """f over [0, bound], one digit multiset at a time, if bound = b^k - 1.
+
+    Then [0, bound] is exactly the set of k-digit strings, leading zeros
+    included, and f depends only on a string's multiset of digits.  Each of
+    the C(k+b-1, b-1) multisets is evaluated once, by digit_power_sum on its
+    least arrangement, and stands for its multinomial number of
+    arrangements (the combination search of Deimel & Jones, J. Recreational
+    Math. 14, 1981-82).  None unless the arrangements add up to bound + 1
+    and no image exceeds bound.  The last result is kept for every stage to
+    share: do not mutate it.
+    """
+    base = sys.base
+    digits = digit_count(bound, sys)
+    if bound + 1 != base**digits:
+        return None
+    factorials = [factorial(i) for i in range(digits + 1)]
+    counts: dict[int, int] = {}
+    for multiset in combinations_with_replacement(range(base), digits):
+        least = 0
+        for d in multiset:
+            least = least * base + d
+        arrangements = factorials[digits]
+        for d in set(multiset):
+            arrangements //= factorials[multiset.count(d)]
+        image = digit_power_sum(least, sys)
+        counts[image] = counts.get(image, 0) + arrangements
+    checked, max_image = sum(counts.values()), max(counts)
+    if checked != bound + 1 or max_image > bound:
+        return None
+    preimages: dict[int, list[int]] = {}
+    for value in counts:
+        preimages.setdefault(digit_power_sum(value, sys), []).append(value)
+    return _Multisets(counts, preimages, checked, max_image)
+
+
 def forward_invariance_scan(sys: DigitSystem, bound: int) -> InvarianceReport:
-    """Exhaustively confirm f([0, bound]) is contained in [0, bound]."""
+    """Exhaustively confirm f([0, bound]) is contained in [0, bound].
+
+    A bound b^k - 1 is checked over the digit multisets of the k-digit
+    strings (_digit_multisets).  Any other bound, and an escape, read the
+    table of [0, bound], which names the least escaping value.
+    """
     bound = as_natural(bound)
+    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
+    multisets = _digit_multisets(sys, bound)
+    if multisets is None:
+        return _table_invariance(sys, bound)
+    return InvarianceReport(sys, bound, ok=True, checked=multisets.checked,
+                            max_image=multisets.max_image)
+
+
+def _table_invariance(sys: DigitSystem, bound: int) -> InvarianceReport:
     images = _leading_digit_images(sys, bound)
     max_image = max(images)
     if max_image <= bound:
@@ -254,8 +319,8 @@ def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
     """
     p0 = digit_reduction_threshold(sys)
     bound = brute_bound(sys, p0)
-    # The checker that certifies this atlas needs a table of [0, B], so
-    # the atlas is refused where that table would be.
+    # The checker falls back to a table of [0, B] on a failure, so the
+    # atlas is refused where that table would be.
     check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
     image_set = _digit_power_sums(sys, p0 - 1)
     if max(image_set) > bound:
@@ -333,18 +398,56 @@ def _steps_to_atlas(images: array, atlas: AttractorAtlas, budget: int) -> array:
     return steps
 
 
+def _multiset_check(sys: DigitSystem, atlas: AttractorAtlas, bound: int,
+                    budget: int) -> RangeReport | None:
+    """verify_range over all of [0, bound] from its digit multisets; None on any failure.
+
+    A breadth-first search runs backwards from the atlas members over the
+    image set S = f([0, bound]), whose orbits stay in S, and gives each
+    value of S its exact number of steps to the atlas.  A value of
+    [0, bound] that is not a member takes one step more than its image, so
+    the counts of values per image, less the members, give every step
+    count without visiting the values one by one.
+    """
+    multisets = _digit_multisets(sys, bound)
+    if multisets is None:
+        return None
+    members = [m for m in atlas.member_to_attractor if m <= bound]
+    level = dict.fromkeys(members, 0)
+    frontier = members
+    depth = 0
+    while frontier:
+        depth += 1
+        frontier = [u for v in frontier for u in multisets.preimages.get(v, ())
+                    if u not in level]
+        level.update(dict.fromkeys(frontier, depth))
+    non_members = dict(multisets.counts)
+    for member in members:
+        non_members[digit_power_sum(member, sys)] -= 1
+    # a value whose image never reaches the atlas counts as budget + 1 steps
+    max_transient = max((level.get(image, budget) + 1
+                         for image, count in non_members.items() if count), default=0)
+    if max_transient > budget:
+        return None
+    return RangeReport(sys, 0, bound, ok=True, checked=multisets.checked,
+                       max_transient=max_transient)
+
+
 def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
                  max_steps: int | None = None) -> RangeReport:
     """Check that every n in [lo, hi] reaches an atlas member within the budget.
 
     n passes iff its orbit meets a member in at most max_steps steps.  The
     report counts the values checked before the first failure and the
-    longest transient among them.  Step counts come from one reverse search
-    over the table of [0, B] (_steps_to_atlas), independent of the forward
-    walks over digit-power sums that enumerate the atlas.  Every atlas
-    member lies in [0, B], so a value above B first applies the map until
-    it is at most B, then adds the table's count for where it landed.  An
-    image escaping [0, B] fails the check at the least escaping value.
+    longest transient among them.  The whole of [0, B] is checked from its
+    digit multisets (_multiset_check).  Sub-ranges, ranges reaching above B
+    and any failure read one reverse search over the table of [0, B]
+    (_steps_to_atlas), which names the least failing value.  Both are
+    independent of the forward walks over digit-power sums that enumerate
+    the atlas.  Every atlas member lies in [0, B], so a value above B first
+    applies the map until it is at most B, then adds the table's count for
+    where it landed.  An image escaping [0, B] fails the check at the least
+    escaping value.
     """
     if atlas.system != sys:
         raise ValueError(f"atlas was certified for {atlas.system}, not {sys}")
@@ -354,7 +457,11 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     check_size(hi - lo + 1, f"the range [{lo}, {hi}]")
     budget = max_steps if max_steps is not None else default_step_budget(hi, sys)
     bound = brute_bound(sys, digit_reduction_threshold(sys))
-    invariance = forward_invariance_scan(sys, bound)
+    if lo == 0 and hi == bound:
+        report = _multiset_check(sys, atlas, bound, budget)
+        if report is not None:
+            return report
+    invariance = _table_invariance(sys, bound)
     if not invariance.ok:
         escaping = invariance.escaping
         return RangeReport(sys, lo, hi, ok=False, checked=0, max_transient=0,
@@ -421,8 +528,9 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
 
     The cheap checks (fixed points fixed, cycles closed and canonical,
     attractors disjoint, certificate constants reproducible) always run.
-    With exhaustive=True, verify_range re-checks all of [0, B] on the shared
-    table (failing on an escaping image) and the certificate's longest transient.
+    With exhaustive=True, verify_range re-checks all of [0, B] from its
+    digit multisets (failing on an escaping image) and the certificate's
+    longest transient.
     """
     sys = atlas.system
     p0 = digit_reduction_threshold(sys)

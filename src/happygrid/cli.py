@@ -64,8 +64,16 @@ MAX_EXHAUSTIVE_GRIDS = 10**6
 # column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
 # are 1x1 grids and single tall columns: 3*10**6 1x1 grids take 48 s and
 # one 6928x1 grid 35 s (Python 3.11, 2-vCPU Xeon), so the largest request
-# allowed takes about a minute.  One 1x(3*10**6) grid takes 20 s and 600 MB.
+# allowed takes about a minute.
 MAX_GRID_CELLS = 3 * 10**6
+
+# `grid verify` checks no grid of more cells than this.  Memory grows with
+# the largest grid, not with the cells in all: the verify path holds several
+# tuple copies of a grid, and single rows cost most, since each column
+# becomes a tuple of its own.  One 1x(10**5) grid peaks at 35 MB against
+# 16 MB for a 1x1 grid, about 195 bytes a cell, and 1x(5*10**5) at 113 MB
+# (Python 3.11, 2-vCPU Xeon).
+MAX_CELLS_PER_GRID = 10**5
 
 
 # ----------------------------- argument types ------------------------------
@@ -135,7 +143,14 @@ def atlas_record(atlas: AttractorAtlas) -> dict:
 
 
 def record_to_atlas(record: dict) -> AttractorAtlas:
-    """Rebuild an atlas from its cache record and re-check its invariants."""
+    """Rebuild an atlas from its cache record and check that it is complete.
+
+    Consistency alone is not enough: a record with an attractor left out,
+    or with a wrong longest transient, passes every cheap check.  The
+    exhaustive check proves that every value of [0, B] reaches the atlas
+    and recomputes the longest transient, from the digit multisets of
+    [0, B], in milliseconds on the systems a query uses.
+    """
     system = DigitSystem(record["base"], record["exponent"])
     atlas = AttractorAtlas(
         system=system,
@@ -150,7 +165,7 @@ def record_to_atlas(record: dict) -> AttractorAtlas:
             Cycle(tuple(int(m) for m in members)) for members in record["cycles"]
         ),
     )
-    validate_atlas(atlas)
+    validate_atlas(atlas, exhaustive=True)
     return atlas
 
 
@@ -488,6 +503,10 @@ def cmd_grid_verify(args) -> int:
         print(f"error: {grids} grids of shape {args.rows}x{args.cols} count {counted} cells, "
               f"above the limit of {MAX_GRID_CELLS} (a cell counts once per 16 rows)",
               file=sys.stderr)
+        return EXIT_USAGE
+    if cells > MAX_CELLS_PER_GRID:
+        print(f"error: a grid of shape {args.rows}x{args.cols} holds {cells} cells, "
+              f"above the limit of {MAX_CELLS_PER_GRID} per grid", file=sys.stderr)
         return EXIT_USAGE
 
     if args.exhaustive:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DigitVector = tuple[int, ...]
 
@@ -24,18 +24,22 @@ _LEAF_BITS = 60
 _ONE_LIMB = 2**30 - 1
 
 
-@dataclass(frozen=True)
-class DigitSystem:
+class _DigitSystemFields(NamedTuple):
+    base: int
+    exponent: int
+
+
+class DigitSystem(_DigitSystemFields):
     """Parameters of the map: digits taken in `base`, raised to `exponent`."""
 
-    base: int = 10
-    exponent: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, int) or self.base < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.base!r}")
-        if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise ValueError(f"exponent must be an integer >= 1, got {self.exponent!r}")
+    def __new__(cls, base: int = 10, exponent: int = 2) -> DigitSystem:
+        if not isinstance(base, int) or base < 2:
+            raise ValueError(f"base must be an integer >= 2, got {base!r}")
+        if not isinstance(exponent, int) or exponent < 1:
+            raise ValueError(f"exponent must be an integer >= 1, got {exponent!r}")
+        return super().__new__(cls, base, exponent)
 
     @property
     def digit_weight(self) -> int:

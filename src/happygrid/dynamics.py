@@ -9,8 +9,7 @@ terminate (see the certify module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .digitmap import DigitSystem, as_natural, digit_count, digit_power_sum
 
@@ -33,8 +32,7 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A cycle of the map in canonical form: rotated to start at its minimum.
 
     A fixed point is the degenerate cycle of length 1.  Canonical form
@@ -57,8 +55,7 @@ class Cycle:
         return self.members[0]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """An orbit up to (not including) its first repeated value.
 
     `steps` lists every distinct orbit value in order, starting at

@@ -10,9 +10,8 @@ one after the second, and so on for n - 1 passes).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import pairwise
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class GridParseError(ValueError):
@@ -24,19 +23,23 @@ class GridParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Grid:
-    """An immutable n x p grid of integers, stored as a tuple of row tuples."""
-
+class _GridFields(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+
+class Grid(_GridFields):
+    """An immutable n x p grid of integers, stored as a tuple of row tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[tuple[int, ...], ...]) -> Grid:
+        if not entries or not entries[0]:
             raise ValueError("a grid has at least one row and one column")
-        width = len(self.entries[0])
-        for i, row in enumerate(self.entries):
+        width = len(entries[0])
+        for i, row in enumerate(entries):
             if len(row) != width:
                 raise ValueError(f"ragged grid: row {i} has {len(row)} entries, expected {width}")
+        return super().__new__(cls, entries)
 
     @property
     def rows(self) -> int:
@@ -51,8 +54,7 @@ class Grid:
         return cls(tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(NamedTuple):
     """Snapshot after one elementary two-row merge of a bubble pass."""
 
     pass_no: int   # 1-based pass number

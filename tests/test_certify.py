@@ -262,12 +262,58 @@ def test_values_above_the_bound_map_once_each(squares, squares_atlas, monkeypatc
     assert len(calls) == 1000
 
 
-def test_certify_builds_one_table(capsys):
-    # the invariance and range stages share the table of [0, B]
+@pytest.mark.parametrize("exponent", ["3", "4"])
+def test_certify_builds_no_table(capsys, exponent):
+    # the invariance and range stages read the digit multisets of [0, B]
     _leading_digit_images.cache_clear()
-    assert cli.main(["certify", "--exp", "3", "--json"]) == 0
+    assert cli.main(["certify", "--exp", exponent, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert _leading_digit_images.cache_info().misses == 1
+    assert _leading_digit_images.cache_info().misses == 0
+
+
+# the whole of [0, B] is checked from its digit multisets
+MULTISET_SYSTEMS = TABLE_SYSTEMS + [(10, 4), (6, 5), (12, 4)]
+
+
+@pytest.mark.parametrize("base,exponent", MULTISET_SYSTEMS, ids=str)
+def test_multiset_checker_equals_walks(base, exponent):
+    # with the full atlas, a small budget and the largest attractor dropped,
+    # the check of [0, B] reports what one walk per value reports; a pass
+    # builds no table, a failure falls back to it for the least failing n
+    system = DigitSystem(base, exponent)
+    atlas = enumerate_attractors(system)
+    bound = atlas.certificate.brute_bound
+    largest = max(a.identifier for a in atlas.attractors)
+    default = default_step_budget(bound, system)
+    for checked_atlas, budget in [(atlas, None), (atlas, 3),
+                                  (without_attractor(atlas, largest), None)]:
+        _leading_digit_images.cache_clear()
+        report = verify_range(system, checked_atlas, 0, bound, max_steps=budget)
+        expected = walked_range(checked_atlas, 0, bound, budget or default)
+        assert (report.ok, report.checked, report.max_transient, report.failing) == expected
+        assert _leading_digit_images.cache_info().misses == (0 if report.ok else 1)
+    _leading_digit_images.cache_clear()
+    invariance = forward_invariance_scan(system, bound)
+    assert _leading_digit_images.cache_info().misses == 0
+    assert invariance == certify._table_invariance(system, bound)
+    assert invariance.max_image == digit_count(bound, system) * system.digit_weight
+
+
+def test_multiset_checker_gives_members_no_steps(squares, squares_atlas):
+    # a member takes 0 steps wherever it maps: with the twelve values of
+    # transient 11 made members, the longest transient left is 10
+    longest = [n for n in range(1000) if _walk_to_atlas(n, squares_atlas, 100)[1] == 11]
+    widened = AttractorAtlas(
+        system=squares,
+        certificate=squares_atlas.certificate,
+        fixed_points=squares_atlas.fixed_points | set(longest),
+        cycles=squares_atlas.cycles,
+    )
+    _leading_digit_images.cache_clear()
+    report = verify_range(squares, widened, 0, 999)
+    assert (report.ok, report.checked, report.max_transient, report.failing) == walked_range(
+        widened, 0, 999, default_step_budget(999, squares)) == (True, 1000, 10, None)
+    assert _leading_digit_images.cache_info().misses == 0
 
 
 def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch):

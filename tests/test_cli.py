@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -143,6 +144,27 @@ def test_attractors_rejects_tampered_cache(capsys, tmp_path):
     assert code == 0
     assert "warning" in err
     assert out == honest
+
+
+@pytest.mark.parametrize("field,value", [("cycles", []), ("max_transient", 0)],
+                         ids=["cycles", "max_transient"])
+def test_incomplete_cache_is_healed(capsys, tmp_path, field, value):
+    # a cache that passes every consistency check but leaves out the
+    # 8-cycle, or claims a wrong longest transient, is rebuilt and rewritten
+    cache = ("--cache-dir", str(tmp_path))
+    code, honest, _ = run_cli(capsys, "attractors", "--json", *cache)
+    assert code == 0
+    cache_file = tmp_path / "atlas-b10-e2.json"
+    good = cache_file.read_text(encoding="utf-8")
+    record = json.loads(good)
+    record[field] = value
+    cache_file.write_text(json.dumps(record), encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", "4", *cache)
+    assert code == 0 and out.startswith("4 reaches cycle of length 8:")
+    assert "warning: ignoring corrupt atlas cache" in err
+    assert cache_file.read_text(encoding="utf-8") == good
+    code, out, err = run_cli(capsys, "attractors", "--json", *cache)
+    assert code == 0 and out == honest and err == ""
 
 
 def test_attractors_survives_unwritable_cache(capsys, tmp_path):
@@ -377,6 +399,24 @@ def test_grid_verify_refuses_too_many_cells(capsys, argv):
     assert time.perf_counter() - start < 1.0
 
 
+def test_grid_verify_cell_limit_per_grid(capsys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "MAX_CELLS_PER_GRID", 6)
+        code, out, _ = run_cli(capsys, "grid", "verify", "--rows", "2", "--cols", "3")
+        assert code == 0 and "verified 1000 grids of shape 2x3: ok" in out
+        code, out, err = run_cli(capsys, "grid", "verify", "--rows", "1", "--cols", "7",
+                                 "--exhaustive", "--alphabet", "1")
+        assert code == 2 and out == "" and "holds 7 cells" in err
+    # each is under the cap on cells in all, and refused before a grid is built
+    for argv in (["--trials", "1", "--rows", "1", "--cols", "100001"],
+                 ["--exhaustive", "--alphabet", "1", "--rows", "317", "--cols", "316"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "grid", "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "above the limit of 100000 per grid" in err
+        assert time.perf_counter() - start < 1.0
+
+
 def test_grid_verify_deterministic(capsys):
     args = ("grid", "verify", "--rows", "4", "--cols", "4",
             "--trials", "50", "--seed", "7", "--json")
@@ -421,6 +461,19 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "terminal cycle of length 8" in result.stdout
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses, and the inspect module it imports, cost more start-up
+    # than the rest of the package; -S keeps site-packages' imports out
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, happygrid.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_version_flag(capsys):

@@ -38,6 +38,19 @@ def test_system_invariants():
     assert DigitSystem(2, 5).digit_weight == 1
 
 
+def test_system_is_an_immutable_value():
+    # refusals quote the repr, and lru caches hash systems
+    system = DigitSystem(exponent=7)
+    assert system == DigitSystem(10, 7) and hash(system) == hash(DigitSystem(base=10, exponent=7))
+    assert repr(system) == "DigitSystem(base=10, exponent=7)"
+    with pytest.raises(AttributeError):
+        system.base = 3
+    with pytest.raises(ValueError, match="base must be an integer >= 2, got 2.0"):
+        DigitSystem(2.0)
+    with pytest.raises(ValueError, match="exponent must be an integer >= 1, got 0"):
+        DigitSystem(exponent=0)
+
+
 def test_as_natural_boundary():
     assert as_natural(0) == 0
     with pytest.raises(ValueError):
