@@ -19,18 +19,19 @@ multisets of [0, B], evaluated once per process, instead of its B + 1
 values: each multiset's image, and the number of values it stands for.
 Stage 3 builds no table either: f([0, B]) is the set of sums of k digit
 powers, and enumeration walks that set alone.  `verify_range` checks an
-atlas independently, by a breadth-first search backwards from the atlas
+atlas independently, by one breadth-first search backwards from the atlas
 members over that image set, which gives the exact number of steps from
-every value to the atlas.  Sub-ranges, values above B and any failure use
-a table of the map over [0, B] instead, an `array` of 4-byte ints built
-block by block from the leading digit, which names the least failing value.
+every value to the atlas.  Sub-ranges, values above B and any failure take
+the image set from a table of the map over [0, B] instead, an `array` of
+4-byte ints built block by block from the leading digit for that one call,
+and visit the values in order, which names the least failing value.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement
 from math import factorial
 from typing import NamedTuple
 
@@ -39,10 +40,10 @@ from .dynamics import Cycle, canonicalize_cycle
 
 # The most values one table, one verified range or one atlas may cover.
 # (10, 6) has B + 1 = 10**7.  `certify --exp 6` reads its 11,440 digit
-# multisets and takes 0.2-0.3 s with a peak RSS of 19 MB, but a failing one
-# reads the table of 10**7 values and takes 4.3 s and 100 MB (Python 3.11,
-# 2-vCPU Xeon).  The atlas keeps this cap until one on the multiset count
-# is measured.
+# multisets and takes 0.15-0.3 s with a peak RSS of 19 MB, but a failing one
+# builds the table of 10**7 values and takes 2.7-3.1 s and 60 MB, and a
+# sub-range visiting all of them 3.5-3.7 s (Python 3.11, 2-vCPU Xeon).  The
+# atlas keeps this cap until one on the multiset count is measured.
 MAX_VALUES = 10**7
 
 
@@ -191,11 +192,10 @@ def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
     return ThresholdReport(sys, p0, p_max, ok=minimal, minimal=minimal)
 
 
-@lru_cache(maxsize=1)
 def _leading_digit_images(sys: DigitSystem, bound: int) -> array:
     """f(n) for every n in [0, bound], from f(d * b^k + m) = d^e + f(m), m < b^k.
 
-    The last table built is kept for every stage to share: do not mutate it.
+    Not cached: each caller builds the table it reads and lets it go.
     """
     # A table above MAX_VALUES is refused before anything is allocated.
     # Digit powers above bound + 1 are clamped to it: an image then stays
@@ -271,13 +271,12 @@ def forward_invariance_scan(sys: DigitSystem, bound: int) -> InvarianceReport:
     check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
     multisets = _digit_multisets(sys, bound)
     if multisets is None:
-        return _table_invariance(sys, bound)
+        return _table_invariance(sys, bound, _leading_digit_images(sys, bound))
     return InvarianceReport(sys, bound, ok=True, checked=multisets.checked,
                             max_image=multisets.max_image)
 
 
-def _table_invariance(sys: DigitSystem, bound: int) -> InvarianceReport:
-    images = _leading_digit_images(sys, bound)
+def _table_invariance(sys: DigitSystem, bound: int, images: array) -> InvarianceReport:
     max_image = max(images)
     if max_image <= bound:
         return InvarianceReport(sys, bound, ok=True, checked=bound + 1, max_image=max_image)
@@ -368,59 +367,38 @@ def default_step_budget(n: int, sys: DigitSystem) -> int:
     return max(1000, 10 * digit_count(n, sys) + bound)
 
 
-def _steps_to_atlas(images: array, atlas: AttractorAtlas, budget: int) -> array:
-    """Steps from each n in [0, B] to the first atlas member it reaches.
+def _levels(preimages: dict[int, list[int]], members: list[int]) -> dict[int, int]:
+    """Exact steps to the nearest member, by a breadth-first search backwards.
 
-    images is the map over [0, B], closed under it.  A breadth-first search
-    runs backwards from the members over the preimage lists.  Only values
-    in the image set have preimages, so the search runs over that set; a
-    value outside it is a leaf of the search, one level below its image.
-    Each value has one image, so the search finds it once, from its image,
-    and its level is its exact step count.  Values that reach no member
-    within budget steps read -1.
+    preimages maps a value to the values whose image it is.  Each value has
+    one image, so the search finds it once, from its image, and its level is
+    its step count.  Values that reach no member are left out.
     """
-    size = len(images)
-    members = [m for m in atlas.member_to_attractor if m < size]
-    preimages: dict[int, list[int]] = {}
-    for u in set(images):
-        preimages.setdefault(images[u], []).append(u)
     level = dict.fromkeys(members, 0)
     frontier = members
     depth = 0
-    while frontier and depth < budget:
+    while frontier:
         depth += 1
         frontier = [u for v in frontier for u in preimages.get(v, ()) if u not in level]
         level.update(dict.fromkeys(frontier, depth))
-    one_beyond = {v: found + 1 for v, found in level.items() if found < budget}
-    steps = array("i", map(one_beyond.get, images, repeat(-1)))
-    for member in members:
-        steps[member] = 0
-    return steps
+    return level
 
 
 def _multiset_check(sys: DigitSystem, atlas: AttractorAtlas, bound: int,
                     budget: int) -> RangeReport | None:
     """verify_range over all of [0, bound] from its digit multisets; None on any failure.
 
-    A breadth-first search runs backwards from the atlas members over the
-    image set S = f([0, bound]), whose orbits stay in S, and gives each
-    value of S its exact number of steps to the atlas.  A value of
-    [0, bound] that is not a member takes one step more than its image, so
-    the counts of values per image, less the members, give every step
-    count without visiting the values one by one.
+    The reverse search runs over the image set S = f([0, bound]), whose
+    orbits stay in S, and gives each value of S its exact number of steps to
+    the atlas.  A value of [0, bound] that is not a member takes one step
+    more than its image, so the counts of values per image, less the
+    members, give every step count without visiting the values one by one.
     """
     multisets = _digit_multisets(sys, bound)
     if multisets is None:
         return None
     members = [m for m in atlas.member_to_attractor if m <= bound]
-    level = dict.fromkeys(members, 0)
-    frontier = members
-    depth = 0
-    while frontier:
-        depth += 1
-        frontier = [u for v in frontier for u in multisets.preimages.get(v, ())
-                    if u not in level]
-        level.update(dict.fromkeys(frontier, depth))
+    level = _levels(multisets.preimages, members)
     non_members = dict(multisets.counts)
     for member in members:
         non_members[digit_power_sum(member, sys)] -= 1
@@ -441,13 +419,13 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     report counts the values checked before the first failure and the
     longest transient among them.  The whole of [0, B] is checked from its
     digit multisets (_multiset_check).  Sub-ranges, ranges reaching above B
-    and any failure read one reverse search over the table of [0, B]
-    (_steps_to_atlas), which names the least failing value.  Both are
-    independent of the forward walks over digit-power sums that enumerate
-    the atlas.  Every atlas member lies in [0, B], so a value above B first
-    applies the map until it is at most B, then adds the table's count for
-    where it landed.  An image escaping [0, B] fails the check at the least
-    escaping value.
+    and any failure run the same reverse search over a table of [0, B] and
+    visit the values in order, which names the least failing value.  Every
+    atlas member lies in [0, B], so a value above B first applies the map
+    until it is at most B; a member then takes no more steps, any other
+    value one more than its image.  Both routes are independent of the
+    forward walks over digit-power sums that enumerate the atlas.  An image
+    escaping [0, B] fails the check at the least escaping value.
     """
     if atlas.system != sys:
         raise ValueError(f"atlas was certified for {atlas.system}, not {sys}")
@@ -461,34 +439,31 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
         report = _multiset_check(sys, atlas, bound, budget)
         if report is not None:
             return report
-    invariance = _table_invariance(sys, bound)
+    images = _leading_digit_images(sys, bound)
+    invariance = _table_invariance(sys, bound, images)
     if not invariance.ok:
         escaping = invariance.escaping
         return RangeReport(sys, lo, hi, ok=False, checked=0, max_transient=0,
                            failing=escaping, reason=f"f({escaping}) escapes [0, {bound}]")
-    steps = _steps_to_atlas(_leading_digit_images(sys, bound), atlas, budget)
-    top = min(hi, bound) + 1
-    try:
-        failing = steps.index(-1, lo, top)
-    except ValueError:
-        failing = None
-    max_transient = max(memoryview(steps)[lo:top if failing is None else failing], default=0)
-    if failing is None:
-        for n in range(max(lo, bound + 1), hi + 1):
-            value, taken = n, 0
-            while value > bound:
-                value = digit_power_sum(value, sys)
-                taken += 1
-            if steps[value] < 0 or taken + steps[value] > budget:
-                failing = n
-                break
-            max_transient = max(max_transient, taken + steps[value])
-    if failing is not None:
-        return RangeReport(
-            sys, lo, hi, ok=False, checked=failing - lo,
-            max_transient=max_transient, failing=failing,
-            reason=f"no atlas member within {budget} steps",
-        )
+    members = atlas.member_to_attractor
+    preimages: dict[int, list[int]] = {}
+    for u in set(images):
+        preimages.setdefault(images[u], []).append(u)
+    level = _levels(preimages, [m for m in members if m <= bound])
+    max_transient = 0
+    for n in range(lo, hi + 1):
+        value, taken = n, 0
+        while value > bound:
+            value = digit_power_sum(value, sys)
+            taken += 1
+        if value not in members:
+            # a value whose image never reaches the atlas takes over budget steps
+            taken += 1 + level.get(images[value], budget)
+        if taken > budget:
+            return RangeReport(sys, lo, hi, ok=False, checked=n - lo, max_transient=max_transient,
+                               failing=n, reason=f"no atlas member within {budget} steps")
+        if taken > max_transient:
+            max_transient = taken
     return RangeReport(sys, lo, hi, ok=True, checked=hi - lo + 1,
                        max_transient=max_transient)
 

@@ -75,6 +75,12 @@ MAX_GRID_CELLS = 3 * 10**6
 # (Python 3.11, 2-vCPU Xeon).
 MAX_CELLS_PER_GRID = 10**5
 
+# `certify --p-max` scans the threshold inequality at most this far.  Each
+# p recomputes base**(p - 1), so the scan grows about as p**2.7: 10**4
+# takes 0.7 s for base 10, 2*10**4 3.8 s and base 2 at 10**5 14 s
+# (Python 3.11, 2-vCPU Xeon).
+MAX_P_MAX = 10**4
+
 
 # ----------------------------- argument types ------------------------------
 
@@ -92,11 +98,22 @@ def start_arg(text: str) -> tuple[str, int]:
     return text.lstrip("0") or "0", natural_arg(text)
 
 
+def ascii_int(text: str) -> int:
+    # int() also reads fullwidth and other Unicode digits.
+    if not text.isascii():
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+# argparse names the type in its message: keep "invalid int value: ..."
+ascii_int.__name__ = "int"
+
+
 def int_at_least(minimum: int, message: str):
-    """An argparse type for integers >= minimum; errors quote the text."""
+    """An argparse type for integers >= minimum, ASCII only; errors quote the text."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = ascii_int(text)
         except ValueError:
             value = minimum - 1
         if value < minimum:
@@ -316,6 +333,10 @@ def _range_stage(name: str, atlas: AttractorAtlas, lo: int, hi: int,
 
 
 def cmd_certify(args) -> int:
+    if args.p_max > MAX_P_MAX:
+        print(f"error: --p-max {args.p_max} is above the limit of {MAX_P_MAX}",
+              file=sys.stderr)
+        return EXIT_USAGE
     system = DigitSystem(args.base, args.exp)
     stages: list[dict] = []
 
@@ -645,11 +666,11 @@ def build_parser() -> argparse.ArgumentParser:
     gverify.add_argument("--cols", type=positive_arg, default=3)
     gverify.add_argument("--trials", type=positive_arg, default=1000,
                          help="number of random grids (default 1000)")
-    gverify.add_argument("--seed", type=int, default=0,
+    gverify.add_argument("--seed", type=ascii_int, default=0,
                          help="random seed; reproducers quote it")
-    gverify.add_argument("--min", type=int, default=-1000,
+    gverify.add_argument("--min", type=ascii_int, default=-1000,
                          help="smallest entry value (default -1000)")
-    gverify.add_argument("--max", type=int, default=1000,
+    gverify.add_argument("--max", type=ascii_int, default=1000,
                          help="largest entry value (default 1000)")
     gverify.add_argument("--exhaustive", action="store_true",
                          help="enumerate every grid over --alphabet instead")

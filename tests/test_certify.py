@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,6 @@ from happygrid.certify import (
     MAX_VALUES,
     _digit_power_sums,
     _leading_digit_images,
-    _steps_to_atlas,
 )
 from happygrid.dynamics import _walk_to_atlas
 
@@ -179,26 +180,29 @@ def walked_range(atlas, lo, hi, budget):
 
 @pytest.mark.parametrize("base,exponent", TABLE_SYSTEMS, ids=str)
 def test_checker_steps_equal_walks(base, exponent):
-    # the reverse search's step count for every n in [0, B] is what the
-    # walk to the atlas takes, with and without an attractor, in and out of
-    # budget; values above B, which descend into the table, report as the walk
+    # value by value, on [1, B] and above B, the checker reports what one
+    # walk per value reports, with and without the largest attractor, at
+    # every budget up to one past the longest transient; for small B each
+    # n alone reports the walk's own step count
     system = DigitSystem(base, exponent)
     atlas = enumerate_attractors(system)
     bound = atlas.certificate.brute_bound
     largest = max(a.identifier for a in atlas.attractors)
     enough = atlas.certificate.max_transient + 1  # a walk past it never arrives
-    cases = [(atlas, enough), (atlas, 3), (without_attractor(atlas, largest), enough)]
-    for checked_atlas, budget in cases:
-        steps = _steps_to_atlas(_leading_digit_images(system, bound), checked_atlas, budget)
-        assert len(steps) == bound + 1
-        for n in range(bound + 1):
-            attractor, taken = _walk_to_atlas(n, checked_atlas, budget)
-            assert steps[n] == (-1 if attractor is None else taken), n
-        above = verify_range(system, checked_atlas, bound + 1, bound + 2000, max_steps=budget)
-        assert (above.ok, above.checked, above.max_transient, above.failing) == walked_range(
-            checked_atlas, bound + 1, bound + 2000, budget)
-    full = _steps_to_atlas(_leading_digit_images(system, bound), atlas, enough)
-    assert max(full) == atlas.certificate.max_transient
+    for checked_atlas in (atlas, without_attractor(atlas, largest)):
+        for budget in range(enough + 1):
+            for lo, hi in ((1, bound), (bound + 1, bound + 2000)):
+                report = verify_range(system, checked_atlas, lo, hi, max_steps=budget)
+                assert (report.ok, report.checked, report.max_transient,
+                        report.failing) == walked_range(checked_atlas, lo, hi, budget)
+        if bound < 1000:
+            for n in range(bound + 1):
+                attractor, taken = _walk_to_atlas(n, checked_atlas, enough)
+                report = verify_range(system, checked_atlas, n, n, max_steps=enough)
+                assert (report.ok, report.checked, report.max_transient, report.failing) == (
+                    (True, 1, taken, None) if attractor else (False, 0, 0, n)), n
+    report = verify_range(system, atlas, 1, bound, max_steps=enough)
+    assert report.ok and report.max_transient == atlas.certificate.max_transient
 
 
 # (lo, hi, max_steps) -> (ok, checked, max_transient, failing), as the
@@ -262,13 +266,42 @@ def test_values_above_the_bound_map_once_each(squares, squares_atlas, monkeypatc
     assert len(calls) == 1000
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The bounds of the tables of the map that certify builds, one per build."""
+    builds = []
+
+    def counted(sys, bound):
+        builds.append(bound)
+        return _leading_digit_images(sys, bound)
+
+    monkeypatch.setattr(certify, "_leading_digit_images", counted)
+    return builds
+
+
 @pytest.mark.parametrize("exponent", ["3", "4"])
-def test_certify_builds_no_table(capsys, exponent):
+def test_certify_builds_no_table(capsys, table_builds, exponent):
     # the invariance and range stages read the digit multisets of [0, B]
-    _leading_digit_images.cache_clear()
     assert cli.main(["certify", "--exp", exponent, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert _leading_digit_images.cache_info().misses == 0
+    assert len(table_builds) == 0
+
+
+def test_no_table_outlives_verify_range(cubes, cubes_atlas, monkeypatch):
+    # a sub-range builds the table of [0, B] once and keeps no reference to it
+    refs = []
+
+    def recorded(sys, bound):
+        table = _leading_digit_images(sys, bound)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(certify, "_leading_digit_images", recorded)
+    report = verify_range(cubes, cubes_atlas, 1, 5000)
+    gc.collect()
+    assert report.ok and report.checked == 5000
+    assert len(refs) == 1
+    assert all(ref() is None for ref in refs)
 
 
 # the whole of [0, B] is checked from its digit multisets
@@ -276,7 +309,7 @@ MULTISET_SYSTEMS = TABLE_SYSTEMS + [(10, 4), (6, 5), (12, 4)]
 
 
 @pytest.mark.parametrize("base,exponent", MULTISET_SYSTEMS, ids=str)
-def test_multiset_checker_equals_walks(base, exponent):
+def test_multiset_checker_equals_walks(table_builds, base, exponent):
     # with the full atlas, a small budget and the largest attractor dropped,
     # the check of [0, B] reports what one walk per value reports; a pass
     # builds no table, a failure falls back to it for the least failing n
@@ -287,19 +320,20 @@ def test_multiset_checker_equals_walks(base, exponent):
     default = default_step_budget(bound, system)
     for checked_atlas, budget in [(atlas, None), (atlas, 3),
                                   (without_attractor(atlas, largest), None)]:
-        _leading_digit_images.cache_clear()
+        table_builds.clear()
         report = verify_range(system, checked_atlas, 0, bound, max_steps=budget)
         expected = walked_range(checked_atlas, 0, bound, budget or default)
         assert (report.ok, report.checked, report.max_transient, report.failing) == expected
-        assert _leading_digit_images.cache_info().misses == (0 if report.ok else 1)
-    _leading_digit_images.cache_clear()
+        assert len(table_builds) == (0 if report.ok else 1)
+    table_builds.clear()
     invariance = forward_invariance_scan(system, bound)
-    assert _leading_digit_images.cache_info().misses == 0
-    assert invariance == certify._table_invariance(system, bound)
+    assert len(table_builds) == 0
+    assert invariance == certify._table_invariance(system, bound,
+                                                   _leading_digit_images(system, bound))
     assert invariance.max_image == digit_count(bound, system) * system.digit_weight
 
 
-def test_multiset_checker_gives_members_no_steps(squares, squares_atlas):
+def test_multiset_checker_gives_members_no_steps(squares, squares_atlas, table_builds):
     # a member takes 0 steps wherever it maps: with the twelve values of
     # transient 11 made members, the longest transient left is 10
     longest = [n for n in range(1000) if _walk_to_atlas(n, squares_atlas, 100)[1] == 11]
@@ -309,11 +343,10 @@ def test_multiset_checker_gives_members_no_steps(squares, squares_atlas):
         fixed_points=squares_atlas.fixed_points | set(longest),
         cycles=squares_atlas.cycles,
     )
-    _leading_digit_images.cache_clear()
     report = verify_range(squares, widened, 0, 999)
     assert (report.ok, report.checked, report.max_transient, report.failing) == walked_range(
         widened, 0, 999, default_step_budget(999, squares)) == (True, 1000, 10, None)
-    assert _leading_digit_images.cache_info().misses == 0
+    assert len(table_builds) == 0
 
 
 def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch):

@@ -243,6 +243,31 @@ def test_oversized_work_is_refused_up_front(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_certify_p_max_limit(capsys):
+    # the threshold scan recomputes base**(p - 1) for every p up to --p-max
+    code, out, _ = run_cli(capsys, "certify", "--base", "2", "--exp", "1",
+                           "--p-max", str(cli.MAX_P_MAX), "--json")
+    assert code == 0 and json.loads(out)["stages"][0]["p_max"] == cli.MAX_P_MAX
+    for argv in (["--p-max", str(cli.MAX_P_MAX + 1)],
+                 ["--base", "2", "--exp", "1", "--p-max", "1000000"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "certify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --p-max {argv[-1]} is above the limit of {cli.MAX_P_MAX}\n"
+        assert time.perf_counter() - start < 2.0
+
+
+def test_signed_options_keep_their_sign_and_message(capsys):
+    code, out, _ = run_cli(capsys, "grid", "verify", "--trials", "5", "--seed", "-7",
+                           "--min", "-5", "--max", "+5", "--json")
+    assert code == 0 and json.loads(out)["ok"] is True
+    for seed in ("x7", "\uff17"):  # int's own message, for fullwidth digits too
+        with pytest.raises(SystemExit) as exc_info:
+            main(["grid", "verify", "--seed", seed])
+        assert exc_info.value.code == 2
+        assert f"argument --seed: invalid int value: '{seed}'" in capsys.readouterr().err
+
+
 def test_traj_ignores_the_table_limit(capsys):
     code, out, _ = run_cli(capsys, "traj", "5", "--exp", "7", "--json")
     assert code == 0 and json.loads(out)["steps"][:2] == ["5", "78125"]
@@ -446,6 +471,13 @@ def test_grid_verify_bad_range(capsys):
         ["grid", "verify", "--trials", "0"],
         ["classify", "\uff14"],  # fullwidth 4: only ASCII digits are numbers
         ["happy", "\u00b2"],  # superscript 2
+        ["traj", "4", "--base", "\uff15"],  # fullwidth digits in numeric options
+        ["certify", "--exp", "\uff13"],
+        ["certify", "--p-max", "\uff15\uff10"],
+        ["grid", "verify", "--seed", "\uff17", "--trials", "1"],
+        ["grid", "verify", "--min", "-\uff15", "--trials", "1"],
+        ["grid", "verify", "--max", "\uff15", "--trials", "1"],
+        ["grid", "verify", "--rows", "\uff12", "--trials", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv):
