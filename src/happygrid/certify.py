@@ -17,19 +17,18 @@ strings, leading zeros included, and f depends only on a string's digit
 multiset.  Stage 2 and the checker therefore read the C(k+b-1, b-1) digit
 multisets of [0, B], evaluated once per process, instead of its B + 1
 values: each multiset's image, and the number of values it stands for.
-Stage 3 builds no table either: f([0, B]) is the set of sums of k digit
+Stage 3 reads no multisets: f([0, B]) is the set of sums of k digit
 powers, and enumeration walks that set alone.  `verify_range` checks an
 atlas independently, by one breadth-first search backwards from the atlas
 members over that image set, which gives the exact number of steps from
-every value to the atlas.  Sub-ranges, values above B and any failure take
-the image set from a table of the map over [0, B] instead, an `array` of
-4-byte ints built block by block from the leading digit for that one call,
-and visit the values in order, which names the least failing value.
+every value to the atlas.  Sub-ranges, values above B and any failure
+visit the values in order, which names the least failing value.  No table
+of the map over [0, B] is built.
 """
 
 from __future__ import annotations
 
-from array import array
+from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
 from math import factorial
@@ -38,12 +37,12 @@ from typing import NamedTuple
 from .digitmap import DigitSystem, as_natural, digit_count, digit_power_sum
 from .dynamics import Cycle, canonicalize_cycle
 
-# The most values one table, one verified range or one atlas may cover.
-# (10, 6) has B + 1 = 10**7.  `certify --exp 6` reads its 11,440 digit
-# multisets and takes 0.15-0.3 s with a peak RSS of 19 MB, but a failing one
-# builds the table of 10**7 values and takes 2.7-3.1 s and 60 MB, and a
-# sub-range visiting all of them 3.5-3.7 s (Python 3.11, 2-vCPU Xeon).  The
-# atlas keeps this cap until one on the multiset count is measured.
+# The most values one verified range or one atlas may cover.  (10, 6) has
+# B + 1 = 10**7.  `certify --exp 6` reads its 11,440 digit multisets and
+# takes 0.15-0.3 s with a peak RSS of 19 MB, but a check that visits all
+# 10**7 values one by one, a sub-range or a failure at a large n, takes
+# 3.5-5.8 s (Python 3.11, 2-vCPU Xeon).  The atlas keeps this cap until one
+# on the multiset count is measured.
 MAX_VALUES = 10**7
 
 
@@ -59,6 +58,11 @@ def check_size(count: int, what: str) -> None:
     """Refuse, before anything is allocated, work over more than MAX_VALUES values."""
     if count > MAX_VALUES:
         raise TooLargeError(f"{what} holds {count} values, above the limit of {MAX_VALUES}")
+
+
+def check_bound_size(sys: DigitSystem, bound: int) -> None:
+    """Refuse, before any stage runs, to certify over [0, bound] above MAX_VALUES values."""
+    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
 
 
 class DescentCertificate(NamedTuple):
@@ -151,10 +155,11 @@ def digit_reduction_threshold(sys: DigitSystem) -> int:
     scan verifies it explicitly instead of trusting the implication.
     """
     weight = sys.digit_weight
-    p = 2
-    while weight * p >= sys.base ** (p - 1):
+    p, power = 2, sys.base  # power = base^(p-1)
+    while weight * p >= power:
         p += 1
-    if weight > sys.base ** (p - 1):
+        power *= sys.base
+    if weight > power:
         raise CertificationError(
             f"inductive step broken at p0={p} for {sys}: "
             f"{weight} > {sys.base}^{p - 1}"
@@ -185,102 +190,78 @@ def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
     if p_max < p0:
         raise ValueError(f"p_max={p_max} is below the threshold p0={p0}")
     weight = sys.digit_weight
+    power = sys.base ** (p0 - 1)  # base^(p-1), one multiplication per p
     for p in range(p0, p_max + 1):
-        if weight * p >= sys.base ** (p - 1):
+        if weight * p >= power:
             return ThresholdReport(sys, p0, p_max, ok=False, minimal=True, failing_p=p)
+        power *= sys.base
     minimal = p0 == 2 or weight * (p0 - 1) >= sys.base ** (p0 - 2)
     return ThresholdReport(sys, p0, p_max, ok=minimal, minimal=minimal)
 
 
-def _leading_digit_images(sys: DigitSystem, bound: int) -> array:
-    """f(n) for every n in [0, bound], from f(d * b^k + m) = d^e + f(m), m < b^k.
-
-    Not cached: each caller builds the table it reads and lets it go.
-    """
-    # A table above MAX_VALUES is refused before anything is allocated.
-    # Digit powers above bound + 1 are clamped to it: an image then stays
-    # exact when it is at most bound and lands above bound exactly when the
-    # real one does, and with bound < MAX_VALUES every entry, at most
-    # (bound + 1) * digit_count(bound), fits a 4-byte int.
-    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
-    powers = [min(d**sys.exponent, bound + 1) for d in range(sys.base)]
-    images = array("i", [0])
-    size = 1  # images covers [0, size), size = b^k
-    while size <= bound:
-        for d in range(1, sys.base):
-            start = d * size
-            if start > bound:
-                break
-            images.extend(map(powers[d].__add__, images[:min(size, bound + 1 - start)]))
-        size *= sys.base
-    return images
-
-
-class _Multisets(NamedTuple):
-    counts: dict[int, int]           # image -> how many values of [0, bound] map to it
-    preimages: dict[int, list[int]]  # image -> the images that map to it
-    checked: int                     # the counts' sum, bound + 1
-    max_image: int
-
-
 @lru_cache(maxsize=1)
-def _digit_multisets(sys: DigitSystem, bound: int) -> _Multisets | None:
-    """f over [0, bound], one digit multiset at a time, if bound = b^k - 1.
+def _image_counts(sys: DigitSystem, bound: int
+                  ) -> tuple[dict[int, int], dict[int, list[int]], int, int]:
+    """f over [0, bound]: image counts, preimages, the counts' total and the largest image.
 
-    Then [0, bound] is exactly the set of k-digit strings, leading zeros
-    included, and f depends only on a string's multiset of digits.  Each of
+    The counts map each image to how many values of [0, bound] map to it,
+    and the preimages map a value to the images whose image it is, so the
+    image set S = f([0, bound]) is all this function knows.  When bound =
+    b^k - 1, [0, bound] is exactly the set of k-digit strings, leading zeros
+    included, and f depends only on a string's multiset of digits: each of
     the C(k+b-1, b-1) multisets is evaluated once, by digit_power_sum on its
-    least arrangement, and stands for its multinomial number of
-    arrangements (the combination search of Deimel & Jones, J. Recreational
-    Math. 14, 1981-82).  None unless the arrangements add up to bound + 1
-    and no image exceeds bound.  The last result is kept for every stage to
-    share: do not mutate it.
+    least arrangement, and stands for its multinomial number of arrangements
+    (the combination search of Deimel & Jones, J. Recreational Math. 14,
+    1981-82).  Any other bound is counted value by value, a block of values
+    at a time.  The last result is kept for every stage to share: do not
+    mutate it.
     """
+    check_bound_size(sys, bound)
     base = sys.base
     digits = digit_count(bound, sys)
-    if bound + 1 != base**digits:
-        return None
-    factorials = [factorial(i) for i in range(digits + 1)]
-    counts: dict[int, int] = {}
-    for multiset in combinations_with_replacement(range(base), digits):
-        least = 0
-        for d in multiset:
-            least = least * base + d
-        arrangements = factorials[digits]
-        for d in set(multiset):
-            arrangements //= factorials[multiset.count(d)]
-        image = digit_power_sum(least, sys)
-        counts[image] = counts.get(image, 0) + arrangements
-    checked, max_image = sum(counts.values()), max(counts)
-    if checked != bound + 1 or max_image > bound:
-        return None
+    if bound + 1 == base**digits:
+        factorials = [factorial(i) for i in range(digits + 1)]
+        counts: dict[int, int] = {}
+        for multiset in combinations_with_replacement(range(base), digits):
+            least = 0
+            for d in multiset:
+                least = least * base + d
+            arrangements = factorials[digits]
+            for d in set(multiset):
+                arrangements //= factorials[multiset.count(d)]
+            image = digit_power_sum(least, sys)
+            counts[image] = counts.get(image, 0) + arrangements
+    else:
+        # f(start + r) = f(start) + f(r) when block divides start and r < block
+        block = base ** max(1, digits // 2)
+        low = [digit_power_sum(r, sys) for r in range(block)]
+        counts = Counter()
+        for start in range(0, bound + 1, block):
+            counts.update(map(digit_power_sum(start, sys).__add__, low[:bound + 1 - start]))
+    checked = sum(counts.values())
+    if checked != bound + 1:
+        raise CertificationError(
+            f"the image counts of [0, {bound}] add up to {checked} for {sys} "
+            "(implementation bug)"
+        )
     preimages: dict[int, list[int]] = {}
     for value in counts:
         preimages.setdefault(digit_power_sum(value, sys), []).append(value)
-    return _Multisets(counts, preimages, checked, max_image)
+    return counts, preimages, checked, max(counts)
 
 
 def forward_invariance_scan(sys: DigitSystem, bound: int) -> InvarianceReport:
     """Exhaustively confirm f([0, bound]) is contained in [0, bound].
 
-    A bound b^k - 1 is checked over the digit multisets of the k-digit
-    strings (_digit_multisets).  Any other bound, and an escape, read the
-    table of [0, bound], which names the least escaping value.
+    The image counts of [0, bound] (_image_counts) give the largest image.
+    Only when it exceeds bound are the values scanned in order, which names
+    the least escaping value.
     """
     bound = as_natural(bound)
-    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
-    multisets = _digit_multisets(sys, bound)
-    if multisets is None:
-        return _table_invariance(sys, bound, _leading_digit_images(sys, bound))
-    return InvarianceReport(sys, bound, ok=True, checked=multisets.checked,
-                            max_image=multisets.max_image)
-
-
-def _table_invariance(sys: DigitSystem, bound: int, images: array) -> InvarianceReport:
-    max_image = max(images)
+    _, _, checked, max_image = _image_counts(sys, bound)
     if max_image <= bound:
-        return InvarianceReport(sys, bound, ok=True, checked=bound + 1, max_image=max_image)
-    escaping = next(n for n, image in enumerate(images) if image > bound)
+        return InvarianceReport(sys, bound, ok=True, checked=checked, max_image=max_image)
+    escaping = next(n for n in range(bound + 1) if digit_power_sum(n, sys) > bound)
     return InvarianceReport(sys, bound, ok=False, checked=escaping + 1,
                             max_image=digit_power_sum(escaping, sys), escaping=escaping)
 
@@ -318,9 +299,9 @@ def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
     """
     p0 = digit_reduction_threshold(sys)
     bound = brute_bound(sys, p0)
-    # The checker falls back to a table of [0, B] on a failure, so the
-    # atlas is refused where that table would be.
-    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
+    # A failing check visits the values of [0, B] one by one, so the atlas
+    # is refused where that visit would exceed MAX_VALUES.
+    check_bound_size(sys, bound)
     image_set = _digit_power_sums(sys, p0 - 1)
     if max(image_set) > bound:
         escape = forward_invariance_scan(sys, bound)
@@ -384,48 +365,24 @@ def _levels(preimages: dict[int, list[int]], members: list[int]) -> dict[int, in
     return level
 
 
-def _multiset_check(sys: DigitSystem, atlas: AttractorAtlas, bound: int,
-                    budget: int) -> RangeReport | None:
-    """verify_range over all of [0, bound] from its digit multisets; None on any failure.
-
-    The reverse search runs over the image set S = f([0, bound]), whose
-    orbits stay in S, and gives each value of S its exact number of steps to
-    the atlas.  A value of [0, bound] that is not a member takes one step
-    more than its image, so the counts of values per image, less the
-    members, give every step count without visiting the values one by one.
-    """
-    multisets = _digit_multisets(sys, bound)
-    if multisets is None:
-        return None
-    members = [m for m in atlas.member_to_attractor if m <= bound]
-    level = _levels(multisets.preimages, members)
-    non_members = dict(multisets.counts)
-    for member in members:
-        non_members[digit_power_sum(member, sys)] -= 1
-    # a value whose image never reaches the atlas counts as budget + 1 steps
-    max_transient = max((level.get(image, budget) + 1
-                         for image, count in non_members.items() if count), default=0)
-    if max_transient > budget:
-        return None
-    return RangeReport(sys, 0, bound, ok=True, checked=multisets.checked,
-                       max_transient=max_transient)
-
-
 def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
                  max_steps: int | None = None) -> RangeReport:
     """Check that every n in [lo, hi] reaches an atlas member within the budget.
 
     n passes iff its orbit meets a member in at most max_steps steps.  The
     report counts the values checked before the first failure and the
-    longest transient among them.  The whole of [0, B] is checked from its
-    digit multisets (_multiset_check).  Sub-ranges, ranges reaching above B
-    and any failure run the same reverse search over a table of [0, B] and
-    visit the values in order, which names the least failing value.  Every
+    longest transient among them.  One breadth-first search backwards from
+    the atlas members over the image set S = f([0, B]), whose orbits stay in
+    S, gives each value of S its exact number of steps to the atlas.  A value
+    of [0, B] that is not a member takes one step more than its image, so
+    for the whole of [0, B] the image counts of its digit multisets, less the
+    members, give every step count.  Otherwise, and on any failure, the
+    values are visited in order, which names the least failing value: every
     atlas member lies in [0, B], so a value above B first applies the map
-    until it is at most B; a member then takes no more steps, any other
-    value one more than its image.  Both routes are independent of the
-    forward walks over digit-power sums that enumerate the atlas.  An image
-    escaping [0, B] fails the check at the least escaping value.
+    until it is at most B, and one outside the search takes one more step.
+    This is independent of the forward walks over digit-power sums that
+    enumerate the atlas.  An image escaping [0, B] fails the check at the
+    least escaping value.
     """
     if atlas.system != sys:
         raise ValueError(f"atlas was certified for {atlas.system}, not {sys}")
@@ -435,30 +392,41 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     check_size(hi - lo + 1, f"the range [{lo}, {hi}]")
     budget = max_steps if max_steps is not None else default_step_budget(hi, sys)
     bound = brute_bound(sys, digit_reduction_threshold(sys))
-    if lo == 0 and hi == bound:
-        report = _multiset_check(sys, atlas, bound, budget)
-        if report is not None:
-            return report
-    images = _leading_digit_images(sys, bound)
-    invariance = _table_invariance(sys, bound, images)
-    if not invariance.ok:
-        escaping = invariance.escaping
+    counts, preimages, checked, max_image = _image_counts(sys, bound)
+    if max_image > bound:
+        escaping = forward_invariance_scan(sys, bound).escaping
         return RangeReport(sys, lo, hi, ok=False, checked=0, max_transient=0,
                            failing=escaping, reason=f"f({escaping}) escapes [0, {bound}]")
-    members = atlas.member_to_attractor
-    preimages: dict[int, list[int]] = {}
-    for u in set(images):
-        preimages.setdefault(images[u], []).append(u)
-    level = _levels(preimages, [m for m in members if m <= bound])
+    members = [m for m in atlas.member_to_attractor if m <= bound]
+    level = _levels(preimages, members)
+    if lo == 0 and hi == bound:
+        non_members = dict(counts)
+        for member in members:
+            non_members[digit_power_sum(member, sys)] -= 1
+        # a value whose image never reaches the atlas counts as budget + 1 steps
+        max_transient = max((level.get(image, budget) + 1
+                             for image, count in non_members.items() if count), default=0)
+        if max_transient <= budget:
+            return RangeReport(sys, lo, hi, ok=True, checked=checked,
+                               max_transient=max_transient)
+    base, unreached = sys.base, budget + 1
+    powers = [d**sys.exponent for d in range(base)]
+    last_q = last_image = -1
     max_transient = 0
     for n in range(lo, hi + 1):
         value, taken = n, 0
         while value > bound:
             value = digit_power_sum(value, sys)
             taken += 1
-        if value not in members:
-            # a value whose image never reaches the atlas takes over budget steps
-            taken += 1 + level.get(images[value], budget)
+        if value not in level:
+            # f(q*b + d) = f(q) + d^e, and runs of consecutive values share q
+            q = value // base
+            if q != last_q:
+                last_q, last_image = q, digit_power_sum(q, sys)
+            value = last_image + powers[value - q * base]
+            taken += 1
+        # a value whose orbit never reaches the atlas takes over budget steps
+        taken += level.get(value, unreached)
         if taken > budget:
             return RangeReport(sys, lo, hi, ok=False, checked=n - lo, max_transient=max_transient,
                                failing=n, reason=f"no atlas member within {budget} steps")

@@ -1,6 +1,5 @@
-import gc
 import json
-import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +27,7 @@ from happygrid import certify, cli, dynamics
 from happygrid.certify import (
     MAX_VALUES,
     _digit_power_sums,
-    _leading_digit_images,
+    _image_counts,
 )
 from happygrid.dynamics import _walk_to_atlas
 
@@ -120,7 +119,7 @@ def test_invariance_scan_catches_escapes(cubes):
     assert report.max_image == 2188
 
 
-# systems whose tables and checker are compared value by value with the map
+# systems whose image counts and checker are compared value by value with the map
 TABLE_SYSTEMS = [(10, 2), (10, 3), (7, 5), (2, 1), (3, 3), (12, 3)]
 
 
@@ -138,9 +137,24 @@ def test_image_tables_equal_the_map(base, exponent):
     system = DigitSystem(base, exponent)
     bound = brute_bound(system, digit_reduction_threshold(system))
     expected = [digit_power_sum(n, system) for n in range(bound + 1)]
-    assert list(_leading_digit_images(system, bound)) == expected
+    counts, preimages, checked, max_image = _image_counts(system, bound)
+    assert counts == Counter(expected)
+    assert (checked, max_image) == (bound + 1, max(expected))
+    within = {}
+    for value in sorted(counts):
+        within.setdefault(digit_power_sum(value, system), []).append(value)
+    assert {image: sorted(values) for image, values in preimages.items()} == within
     # the enumerator's image set: sums of p0 - 1 digit powers
     assert _digit_power_sums(system, digit_count(bound, system)) == set(expected)
+
+
+def test_image_counts_must_cover_every_value(squares, monkeypatch):
+    # with every multiset standing for one value, the 220 multisets of three
+    # digits fall short of the 1000 values of [0, 999]
+    certify._image_counts.cache_clear()
+    monkeypatch.setattr(certify, "factorial", lambda i: 1)
+    with pytest.raises(CertificationError, match=r"counts of \[0, 999\] add up to 220 "):
+        forward_invariance_scan(squares, 999)
 
 
 @pytest.mark.parametrize("base,exponent,bound", [
@@ -148,14 +162,11 @@ def test_image_tables_equal_the_map(base, exponent):
     (3, 3, 50), (10, 30, 100),  # 9**30 overflows any machine int
 ], ids=str)
 def test_truncated_tables_and_invariance_scan(base, exponent, bound):
-    # a table over [0, bound] is exact where the image is at most bound and
-    # above bound where the image is; the scan reports the first escape
+    # the image counts of [0, bound] are exact for any bound, b^k - 1 or not;
+    # the scan reports the first escape
     system = DigitSystem(base, exponent)
     expected = [digit_power_sum(n, system) for n in range(bound + 1)]
-    table = _leading_digit_images(system, bound)
-    assert len(table) == bound + 1
-    for image, want in zip(table, expected):
-        assert image == want if want <= bound else image > bound
+    assert _image_counts(system, bound)[0] == Counter(expected)
     report = forward_invariance_scan(system, bound)
     escaping = next((n for n, image in enumerate(expected) if image > bound), None)
     assert report.escaping == escaping
@@ -252,7 +263,15 @@ def test_verify_range_reports_like_the_walk_elsewhere(cubes, cubes_atlas, square
 
 def test_values_above_the_bound_map_once_each(squares, squares_atlas, monkeypatch):
     # every value of [1000, 1999] drops to at most 999 in one step, and the
-    # step table of [0, 999] counts the rest: the map runs once per value
+    # reverse search over the image set of [0, 999] counts the rest; a value
+    # outside that set takes one more step, f(10q + d) = f(q) + d^2, and
+    # consecutive such values share the image of q
+    verify_range(squares, squares_atlas, 0, 999)  # keeps the image counts of [0, 999]
+    image_set = {digit_power_sum(n, squares) for n in range(1000)}
+    images = [digit_power_sum(n, squares) for n in range(1000, 2000)]
+    outside = [v for v in images if v not in image_set]
+    leading = [v // 10 for v in outside]
+    expected = 1000 + sum(1 for i, q in enumerate(leading) if i == 0 or q != leading[i - 1])
     calls = []
 
     def counted(n, sys):
@@ -263,45 +282,26 @@ def test_values_above_the_bound_map_once_each(squares, squares_atlas, monkeypatc
     monkeypatch.setattr(dynamics, "digit_power_sum", counted)
     report = verify_range(squares, squares_atlas, 1000, 1999)
     assert report.ok and report.checked == 1000
-    assert len(calls) == 1000
+    assert len(calls) == expected < 1000 + len(outside)
 
 
-@pytest.fixture
-def table_builds(monkeypatch):
-    """The bounds of the tables of the map that certify builds, one per build."""
-    builds = []
+@pytest.mark.parametrize("exponent", ["4", "5"])
+def test_certify_builds_no_table(capsys, monkeypatch, exponent):
+    # the invariance and range stages read the digit multisets of [0, B]:
+    # the map runs far fewer times than a visit of every value would take
+    calls = []
 
-    def counted(sys, bound):
-        builds.append(bound)
-        return _leading_digit_images(sys, bound)
+    def counted(n, sys):
+        calls.append(n)
+        return digit_power_sum(n, sys)
 
-    monkeypatch.setattr(certify, "_leading_digit_images", counted)
-    return builds
-
-
-@pytest.mark.parametrize("exponent", ["3", "4"])
-def test_certify_builds_no_table(capsys, table_builds, exponent):
-    # the invariance and range stages read the digit multisets of [0, B]
+    system = DigitSystem(10, int(exponent))
+    bound = brute_bound(system, digit_reduction_threshold(system))
+    certify._image_counts.cache_clear()
+    monkeypatch.setattr(certify, "digit_power_sum", counted)
     assert cli.main(["certify", "--exp", exponent, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert len(table_builds) == 0
-
-
-def test_no_table_outlives_verify_range(cubes, cubes_atlas, monkeypatch):
-    # a sub-range builds the table of [0, B] once and keeps no reference to it
-    refs = []
-
-    def recorded(sys, bound):
-        table = _leading_digit_images(sys, bound)
-        refs.append(weakref.ref(table))
-        return table
-
-    monkeypatch.setattr(certify, "_leading_digit_images", recorded)
-    report = verify_range(cubes, cubes_atlas, 1, 5000)
-    gc.collect()
-    assert report.ok and report.checked == 5000
-    assert len(refs) == 1
-    assert all(ref() is None for ref in refs)
+    assert len(calls) < (bound + 1) // 10
 
 
 # the whole of [0, B] is checked from its digit multisets
@@ -309,10 +309,10 @@ MULTISET_SYSTEMS = TABLE_SYSTEMS + [(10, 4), (6, 5), (12, 4)]
 
 
 @pytest.mark.parametrize("base,exponent", MULTISET_SYSTEMS, ids=str)
-def test_multiset_checker_equals_walks(table_builds, base, exponent):
+def test_multiset_checker_equals_walks(base, exponent):
     # with the full atlas, a small budget and the largest attractor dropped,
-    # the check of [0, B] reports what one walk per value reports; a pass
-    # builds no table, a failure falls back to it for the least failing n
+    # the check of [0, B] reports what one walk per value reports, the least
+    # failing n included
     system = DigitSystem(base, exponent)
     atlas = enumerate_attractors(system)
     bound = atlas.certificate.brute_bound
@@ -320,22 +320,20 @@ def test_multiset_checker_equals_walks(table_builds, base, exponent):
     default = default_step_budget(bound, system)
     for checked_atlas, budget in [(atlas, None), (atlas, 3),
                                   (without_attractor(atlas, largest), None)]:
-        table_builds.clear()
         report = verify_range(system, checked_atlas, 0, bound, max_steps=budget)
         expected = walked_range(checked_atlas, 0, bound, budget or default)
         assert (report.ok, report.checked, report.max_transient, report.failing) == expected
-        assert len(table_builds) == (0 if report.ok else 1)
-    table_builds.clear()
     invariance = forward_invariance_scan(system, bound)
-    assert len(table_builds) == 0
-    assert invariance == certify._table_invariance(system, bound,
-                                                   _leading_digit_images(system, bound))
+    largest_image = max(digit_power_sum(n, system) for n in range(bound + 1))
+    assert invariance == (system, bound, True, bound + 1, largest_image, None)
     assert invariance.max_image == digit_count(bound, system) * system.digit_weight
 
 
-def test_multiset_checker_gives_members_no_steps(squares, squares_atlas, table_builds):
+def test_multiset_checker_gives_members_no_steps(squares, squares_atlas):
     # a member takes 0 steps wherever it maps: with the twelve values of
-    # transient 11 made members, the longest transient left is 10
+    # transient 11 made members, the longest transient left is 10; these
+    # members lie outside the image set of [0, 999], which a sub-range visits
+    # value by value
     longest = [n for n in range(1000) if _walk_to_atlas(n, squares_atlas, 100)[1] == 11]
     widened = AttractorAtlas(
         system=squares,
@@ -346,7 +344,11 @@ def test_multiset_checker_gives_members_no_steps(squares, squares_atlas, table_b
     report = verify_range(squares, widened, 0, 999)
     assert (report.ok, report.checked, report.max_transient, report.failing) == walked_range(
         widened, 0, 999, default_step_budget(999, squares)) == (True, 1000, 10, None)
-    assert len(table_builds) == 0
+    assert not set(longest) & set(_image_counts(squares, 999)[0])
+    for budget in (None, 10):
+        report = verify_range(squares, widened, 1, 999, max_steps=budget)
+        assert (report.ok, report.checked, report.max_transient, report.failing) == walked_range(
+            widened, 1, 999, budget or default_step_budget(999, squares)) == (True, 999, 10, None)
 
 
 def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch):

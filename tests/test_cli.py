@@ -244,7 +244,8 @@ def test_oversized_work_is_refused_up_front(capsys, tmp_path, argv):
 
 
 def test_certify_p_max_limit(capsys):
-    # the threshold scan recomputes base**(p - 1) for every p up to --p-max
+    # the threshold scan multiplies a running base**(p - 1) once per p up to
+    # --p-max: 10**4 takes 0.01 s for base 10, 10**5 0.9 s
     code, out, _ = run_cli(capsys, "certify", "--base", "2", "--exp", "1",
                            "--p-max", str(cli.MAX_P_MAX), "--json")
     assert code == 0 and json.loads(out)["stages"][0]["p_max"] == cli.MAX_P_MAX
@@ -255,6 +256,20 @@ def test_certify_p_max_limit(capsys):
         assert code == 2 and out == ""
         assert err == f"error: --p-max {argv[-1]} is above the limit of {cli.MAX_P_MAX}\n"
         assert time.perf_counter() - start < 2.0
+
+
+def test_certify_refuses_a_large_bound_before_any_stage(capsys, monkeypatch):
+    # B + 1 = 10**12 for base 10**6: the range [0, 10] is small, but the
+    # checker would cover [0, B], so certify exits 2 before the threshold scan
+    def never(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "threshold_inequality_check", never)
+    code, out, err = run_cli(capsys, "certify", "--base", "1000000", "--exp", "1",
+                             "--lo", "0", "--hi", "10", "--p-max", "10000")
+    assert code == 2 and out == ""
+    assert err == ("error: a table of DigitSystem(base=1000000, exponent=1) over "
+                   "[0, 999999999999] holds 1000000000000 values, above the limit of 10000000\n")
 
 
 def test_signed_options_keep_their_sign_and_message(capsys):
