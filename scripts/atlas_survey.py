@@ -25,7 +25,7 @@ def survey(max_base: int, max_exp: int, bound_cap: int) -> None:
     for base in range(2, max_base + 1):
         for exponent in range(1, max_exp + 1):
             system = DigitSystem(base, exponent)
-            bound = brute_bound(system, digit_reduction_threshold(system))
+            bound = brute_bound(system)
             if bound > bound_cap:
                 print(f"{base:>4} {exponent:>3}     (skipped, B={bound} "
                       f"above --bound-cap)")
@@ -33,12 +33,12 @@ def survey(max_base: int, max_exp: int, bound_cap: int) -> None:
             t0 = time.perf_counter()
             atlas = enumerate_attractors(system)
             elapsed = time.perf_counter() - t0
-            cert = atlas.certificate
             parts = [f"fp={sorted(atlas.fixed_points)}"]
             for cycle in sorted(atlas.cycles, key=lambda c: c.members[0]):
                 parts.append(f"cycle{list(cycle.members)}")
-            print(f"{base:>4} {exponent:>3} {cert.p0:>3} {cert.brute_bound:>8} "
-                  f"{cert.max_transient:>4}  {'  '.join(parts)}"
+            p0 = digit_reduction_threshold(system)
+            print(f"{base:>4} {exponent:>3} {p0:>3} {bound:>8} "
+                  f"{atlas.max_transient:>4}  {'  '.join(parts)}"
                   f"  [{elapsed * 1e3:.0f} ms]")
 
 

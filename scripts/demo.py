@@ -11,8 +11,10 @@ import random
 from happygrid import (
     DigitSystem,
     Grid,
+    brute_bound,
     default_step_budget,
     digit_count,
+    digit_reduction_threshold,
     enumerate_attractors,
     format_grid,
     is_rows_sorted,
@@ -41,9 +43,8 @@ def grid_walkthrough() -> None:
 def squares_walkthrough() -> None:
     squares = DigitSystem(10, 2)
     atlas = enumerate_attractors(squares)
-    cert = atlas.certificate
-    print(f"\nbase 10, squares: p0={cert.p0}, brute bound={cert.brute_bound}, "
-          f"max transient={cert.max_transient}")
+    print(f"\nbase 10, squares: p0={digit_reduction_threshold(squares)}, "
+          f"brute bound={brute_bound(squares)}, max transient={atlas.max_transient}")
     for attractor in atlas.attractors:
         kind = "fixed point" if attractor.is_fixed_point else f"{attractor.length}-cycle"
         print(f"  {kind}: {list(attractor.members)}")

@@ -5,8 +5,8 @@ Two independent constructions share this package:
 
 * `digitmap`, `dynamics`, `certify`: the map sending n to the sum of the
   e-th powers of its base-b digits, its orbits and cycles, and a
-  machine-checked certificate that exhaustive enumeration of a finite
-  range finds every attractor.
+  machine-checked proof that exhaustive enumeration of [0, B], a range
+  the system alone fixes, finds every attractor.
 * `gridsort`: sorting the rows of an integer grid and then its columns
   leaves the rows sorted; includes the two-row min/max lemma and the
   bubble-pass column sort mirroring the inductive argument.
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from .certify import (
     AttractorAtlas,
     CertificationError,
-    DescentCertificate,
     TooLargeError,
     brute_bound,
     default_step_budget,
@@ -68,7 +67,6 @@ __all__ = [
     "BudgetExceededError",
     "CertificationError",
     "Cycle",
-    "DescentCertificate",
     "DigitSystem",
     "DigitVector",
     "Grid",

@@ -12,10 +12,11 @@ Three stages, each checked by machine rather than trusted:
 
 The resulting atlas makes every classification provably terminating.
 
-B = b^k - 1 with k = p0 - 1, so [0, B] is exactly the set of k-digit
-strings, leading zeros included, and f depends only on a string's digit
-multiset.  Stage 2 and the checker therefore read the C(k+b-1, b-1) digit
-multisets of [0, B], evaluated once per process, instead of its B + 1
+B = b^k - 1 with k = p0 - 1 is decided in one place, `brute_bound(sys)`,
+and every stage takes the system alone: [0, B] is exactly the set of
+k-digit strings, leading zeros included, and f depends only on a string's
+digit multiset.  Stage 2 and the checker therefore read the C(k+b-1, b-1)
+digit multisets of [0, B], evaluated once per process, instead of its B + 1
 values: each multiset's image, and the number of values it stands for.
 Stage 3 reads no multisets: f([0, B]) is the set of sums of k digit
 powers, and enumeration walks that set alone.  `verify_range` checks an
@@ -28,7 +29,6 @@ of the map over [0, B] is built.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
 from math import factorial
@@ -60,34 +60,26 @@ def check_size(count: int, what: str) -> None:
         raise TooLargeError(f"{what} holds {count} values, above the limit of {MAX_VALUES}")
 
 
-def check_bound_size(sys: DigitSystem, bound: int) -> None:
-    """Refuse, before any stage runs, to certify over [0, bound] above MAX_VALUES values."""
+def check_bound_size(sys: DigitSystem) -> None:
+    """Refuse, before any stage runs, to certify over [0, B] above MAX_VALUES values."""
+    bound = brute_bound(sys)
     check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
-
-
-class DescentCertificate(NamedTuple):
-    """Constants proving that exhaustive enumeration of [0, B] is complete.
-
-    p0: least digit count from which the map strictly loses digits.
-    brute_bound: B with f([0, B]) contained in [0, B].
-    max_transient: longest transient observed over [0, B].
-    """
-
-    system: DigitSystem
-    p0: int
-    brute_bound: int
-    max_transient: int
 
 
 class _AtlasFields(NamedTuple):
     system: DigitSystem
-    certificate: DescentCertificate
+    max_transient: int
     fixed_points: frozenset[int]
     cycles: frozenset[Cycle]
 
 
 class AttractorAtlas(_AtlasFields):
-    """The complete certified attractor set of a digit system."""
+    """The complete certified attractor set of a digit system.
+
+    max_transient is the longest transient over [0, B].  p0 and B are not
+    stored: digit_reduction_threshold and brute_bound derive them from the
+    system.
+    """
 
     # No __slots__: the cached properties below live in the instance __dict__.
 
@@ -167,17 +159,16 @@ def digit_reduction_threshold(sys: DigitSystem) -> int:
     return p
 
 
-def brute_bound(sys: DigitSystem, p0: int) -> int:
+def brute_bound(sys: DigitSystem) -> int:
     """Forward-invariant inclusive top B = base^(p0-1) - 1 of the exhaustive range.
 
-    A value of [0, B] has at most p0-1 digits, so with w = (base-1)^exponent
-    its image is at most w*(p0-1) < w*p0 < base^(p0-1), the last step being
-    the threshold inequality at p0: the image lies in [0, B].  The
-    exhaustive scan lives in forward_invariance_scan.
+    p0 is the digit-reduction threshold.  A value of [0, B] has at most p0-1
+    digits, so with w = (base-1)^exponent its image is at most
+    w*(p0-1) < w*p0 < base^(p0-1), the last step being the threshold
+    inequality at p0: the image lies in [0, B].  The exhaustive scan lives
+    in forward_invariance_scan.  Every stage takes its range from here.
     """
-    if p0 != digit_reduction_threshold(sys):
-        raise ValueError(f"p0={p0} is not the digit-reduction threshold of {sys}")
-    return sys.base ** (p0 - 1) - 1
+    return sys.base ** (digit_reduction_threshold(sys) - 1) - 1
 
 
 def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
@@ -200,44 +191,35 @@ def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
 
 
 @lru_cache(maxsize=1)
-def _image_counts(sys: DigitSystem, bound: int
-                  ) -> tuple[dict[int, int], dict[int, list[int]], int, int]:
-    """f over [0, bound]: image counts, preimages, the counts' total and the largest image.
+def _image_counts(sys: DigitSystem) -> tuple[dict[int, int], dict[int, list[int]], int, int]:
+    """f over [0, B]: image counts, preimages, the counts' total and the largest image.
 
-    The counts map each image to how many values of [0, bound] map to it,
-    and the preimages map a value to the images whose image it is, so the
-    image set S = f([0, bound]) is all this function knows.  When bound =
-    b^k - 1, [0, bound] is exactly the set of k-digit strings, leading zeros
-    included, and f depends only on a string's multiset of digits: each of
-    the C(k+b-1, b-1) multisets is evaluated once, by digit_power_sum on its
+    The counts map each image to how many values of [0, B] map to it, and
+    the preimages map a value to the images whose image it is, so the image
+    set S = f([0, B]) is all this function knows.  B = b^k - 1, so [0, B] is
+    exactly the set of k-digit strings, leading zeros included, and f
+    depends only on a string's multiset of digits: each of the
+    C(k+b-1, b-1) multisets is evaluated once, by digit_power_sum on its
     least arrangement, and stands for its multinomial number of arrangements
     (the combination search of Deimel & Jones, J. Recreational Math. 14,
-    1981-82).  Any other bound is counted value by value, a block of values
-    at a time.  The last result is kept for every stage to share: do not
+    1981-82).  The last result is kept for every stage to share: do not
     mutate it.
     """
-    check_bound_size(sys, bound)
+    check_bound_size(sys)
     base = sys.base
+    bound = brute_bound(sys)
     digits = digit_count(bound, sys)
-    if bound + 1 == base**digits:
-        factorials = [factorial(i) for i in range(digits + 1)]
-        counts: dict[int, int] = {}
-        for multiset in combinations_with_replacement(range(base), digits):
-            least = 0
-            for d in multiset:
-                least = least * base + d
-            arrangements = factorials[digits]
-            for d in set(multiset):
-                arrangements //= factorials[multiset.count(d)]
-            image = digit_power_sum(least, sys)
-            counts[image] = counts.get(image, 0) + arrangements
-    else:
-        # f(start + r) = f(start) + f(r) when block divides start and r < block
-        block = base ** max(1, digits // 2)
-        low = [digit_power_sum(r, sys) for r in range(block)]
-        counts = Counter()
-        for start in range(0, bound + 1, block):
-            counts.update(map(digit_power_sum(start, sys).__add__, low[:bound + 1 - start]))
+    factorials = [factorial(i) for i in range(digits + 1)]
+    counts: dict[int, int] = {}
+    for multiset in combinations_with_replacement(range(base), digits):
+        least = 0
+        for d in multiset:
+            least = least * base + d
+        arrangements = factorials[digits]
+        for d in set(multiset):
+            arrangements //= factorials[multiset.count(d)]
+        image = digit_power_sum(least, sys)
+        counts[image] = counts.get(image, 0) + arrangements
     checked = sum(counts.values())
     if checked != bound + 1:
         raise CertificationError(
@@ -250,15 +232,15 @@ def _image_counts(sys: DigitSystem, bound: int
     return counts, preimages, checked, max(counts)
 
 
-def forward_invariance_scan(sys: DigitSystem, bound: int) -> InvarianceReport:
-    """Exhaustively confirm f([0, bound]) is contained in [0, bound].
+def forward_invariance_scan(sys: DigitSystem) -> InvarianceReport:
+    """Exhaustively confirm f([0, B]) is contained in [0, B].
 
-    The image counts of [0, bound] (_image_counts) give the largest image.
-    Only when it exceeds bound are the values scanned in order, which names
+    The image counts of [0, B] (_image_counts) give the largest image.
+    Only when it exceeds B are the values scanned in order, which names
     the least escaping value.
     """
-    bound = as_natural(bound)
-    _, _, checked, max_image = _image_counts(sys, bound)
+    bound = brute_bound(sys)
+    _, _, checked, max_image = _image_counts(sys)
     if max_image <= bound:
         return InvarianceReport(sys, bound, ok=True, checked=checked, max_image=max_image)
     escaping = next(n for n in range(bound + 1) if digit_power_sum(n, sys) > bound)
@@ -281,7 +263,7 @@ def _digit_power_sums(sys: DigitSystem, digits: int) -> set[int]:
 def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
     """Exhaustively classify [0, B] and return the certified atlas.
 
-    B = b^k - 1 with k = p0 - 1, so [0, B] is exactly the set of k-digit
+    B = b^k - 1 (brute_bound), so [0, B] is exactly the set of k-digit
     strings, leading zeros included, and the image set S = f([0, B]) is
     the set of sums of k digit powers (the combination search for digital
     invariants: Deimel & Jones, J. Recreational Math. 14, 1981-82).  Every
@@ -297,14 +279,13 @@ def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
     CertificationError naming the least escaping value (from
     forward_invariance_scan); it cannot happen if brute_bound is correct.
     """
-    p0 = digit_reduction_threshold(sys)
-    bound = brute_bound(sys, p0)
+    bound = brute_bound(sys)
     # A failing check visits the values of [0, B] one by one, so the atlas
     # is refused where that visit would exceed MAX_VALUES.
-    check_bound_size(sys, bound)
-    image_set = _digit_power_sums(sys, p0 - 1)
+    check_bound_size(sys)
+    image_set = _digit_power_sums(sys, digit_count(bound, sys))
     if max(image_set) > bound:
-        escape = forward_invariance_scan(sys, bound)
+        escape = forward_invariance_scan(sys)
         raise CertificationError(
             f"image {escape.max_image} of {escape.escaping} escapes "
             f"[0, {bound}] for {sys}; brute bound is wrong (implementation bug)"
@@ -328,12 +309,9 @@ def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
         for steps, value in enumerate(reversed(path), transient[current] + 1):
             transient[value] = steps
 
-    certificate = DescentCertificate(
-        system=sys, p0=p0, brute_bound=bound, max_transient=max(transient.values()) + 1
-    )
     return AttractorAtlas(
         system=sys,
-        certificate=certificate,
+        max_transient=max(transient.values()) + 1,
         fixed_points=frozenset(c.members[0] for c in found if c.is_fixed_point),
         cycles=frozenset(c for c in found if not c.is_fixed_point),
     )
@@ -344,8 +322,7 @@ def default_step_budget(n: int, sys: DigitSystem) -> int:
 
     10 steps per digit of n plus the brute bound, never below 1000.
     """
-    bound = brute_bound(sys, digit_reduction_threshold(sys))
-    return max(1000, 10 * digit_count(n, sys) + bound)
+    return max(1000, 10 * digit_count(n, sys) + brute_bound(sys))
 
 
 def _levels(preimages: dict[int, list[int]], members: list[int]) -> dict[int, int]:
@@ -391,10 +368,10 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
         raise ValueError(f"empty range [{lo}, {hi}]")
     check_size(hi - lo + 1, f"the range [{lo}, {hi}]")
     budget = max_steps if max_steps is not None else default_step_budget(hi, sys)
-    bound = brute_bound(sys, digit_reduction_threshold(sys))
-    counts, preimages, checked, max_image = _image_counts(sys, bound)
+    bound = brute_bound(sys)
+    counts, preimages, checked, max_image = _image_counts(sys)
     if max_image > bound:
-        escaping = forward_invariance_scan(sys, bound).escaping
+        escaping = forward_invariance_scan(sys).escaping
         return RangeReport(sys, lo, hi, ok=False, checked=0, max_transient=0,
                            failing=escaping, reason=f"f({escaping}) escapes [0, {bound}]")
     members = [m for m in atlas.member_to_attractor if m <= bound]
@@ -470,22 +447,11 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
     """Re-check atlas invariants; raise CertificationError on any violation.
 
     The cheap checks (fixed points fixed, cycles closed and canonical,
-    attractors disjoint, certificate constants reproducible) always run.
-    With exhaustive=True, verify_range re-checks all of [0, B] from its
-    digit multisets (failing on an escaping image) and the certificate's
-    longest transient.
+    attractors disjoint) always run.  With exhaustive=True, verify_range
+    re-checks all of [0, B] from its digit multisets (failing on an escaping
+    image) and the atlas's longest transient.
     """
     sys = atlas.system
-    p0 = digit_reduction_threshold(sys)
-    if atlas.certificate.p0 != p0:
-        raise CertificationError(
-            f"certificate p0={atlas.certificate.p0} but threshold is {p0}"
-        )
-    bound = brute_bound(sys, p0)
-    if atlas.certificate.brute_bound != bound:
-        raise CertificationError(
-            f"certificate B={atlas.certificate.brute_bound} but formula gives {bound}"
-        )
     for value in atlas.fixed_points:
         if digit_power_sum(value, sys) != value:
             raise CertificationError(f"{value} is not a fixed point of {sys}")
@@ -500,13 +466,12 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
             raise CertificationError(f"attractors overlap on {seen & set(cycle.members)}")
         seen |= set(cycle.members)
     if exhaustive:
-        report = verify_range(sys, atlas, 0, bound)
+        report = verify_range(sys, atlas, 0, brute_bound(sys))
         if not report.ok:
             raise CertificationError(
                 f"{report.failing} does not reach the atlas: {report.reason}"
             )
-        if report.max_transient != atlas.certificate.max_transient:
+        if report.max_transient != atlas.max_transient:
             raise CertificationError(
-                f"max transient {report.max_transient} != certificate "
-                f"{atlas.certificate.max_transient}"
+                f"max transient {report.max_transient} != certificate {atlas.max_transient}"
             )

@@ -21,7 +21,6 @@ from . import __version__
 from .certify import (
     AttractorAtlas,
     CertificationError,
-    DescentCertificate,
     TooLargeError,
     brute_bound,
     check_size,
@@ -148,9 +147,9 @@ def atlas_record(atlas: AttractorAtlas) -> dict:
     return {
         "base": atlas.system.base,
         "exponent": atlas.system.exponent,
-        "p0": atlas.certificate.p0,
-        "brute_bound": str(atlas.certificate.brute_bound),
-        "max_transient": atlas.certificate.max_transient,
+        "p0": digit_reduction_threshold(atlas.system),
+        "brute_bound": str(brute_bound(atlas.system)),
+        "max_transient": atlas.max_transient,
         "fixed_points": [str(x) for x in sorted(atlas.fixed_points)],
         "cycles": [
             [str(m) for m in c.members]
@@ -163,26 +162,28 @@ def atlas_record(atlas: AttractorAtlas) -> dict:
 def record_to_atlas(record: dict) -> AttractorAtlas:
     """Rebuild an atlas from its cache record and check that it is complete.
 
-    Consistency alone is not enough: a record with an attractor left out,
-    or with a wrong longest transient, passes every cheap check.  The
-    exhaustive check proves that every value of [0, B] reaches the atlas
-    and recomputes the longest transient, from the digit multisets of
-    [0, B], in milliseconds on the systems a query uses.
+    The record's p0 and B must be the ones the system gives.  Consistency
+    alone is not enough: a record with an attractor left out, or with a
+    wrong longest transient, passes every cheap check.  The exhaustive check
+    proves that every value of [0, B] reaches the atlas and recomputes the
+    longest transient, from the digit multisets of [0, B], in milliseconds
+    on the systems a query uses.
     """
     system = DigitSystem(record["base"], record["exponent"])
+    p0, bound = int(record["p0"]), int(record["brute_bound"])
     atlas = AttractorAtlas(
         system=system,
-        certificate=DescentCertificate(
-            system=system,
-            p0=int(record["p0"]),
-            brute_bound=int(record["brute_bound"]),
-            max_transient=int(record["max_transient"]),
-        ),
+        max_transient=int(record["max_transient"]),
         fixed_points=frozenset(int(x) for x in record["fixed_points"]),
         cycles=frozenset(
             Cycle(tuple(int(m) for m in members)) for members in record["cycles"]
         ),
     )
+    threshold, formula = digit_reduction_threshold(system), brute_bound(system)
+    if p0 != threshold:
+        raise CertificationError(f"certificate p0={p0} but threshold is {threshold}")
+    if bound != formula:
+        raise CertificationError(f"certificate B={bound} but formula gives {formula}")
     validate_atlas(atlas, exhaustive=True)
     return atlas
 
@@ -300,9 +301,9 @@ def cmd_attractors(args) -> int:
     if args.json:
         print(dumps_canonical(atlas_record(atlas)), end="")
         return EXIT_OK
-    cert = atlas.certificate
     print(f"base {system.base} exponent {system.exponent}")
-    print(f"p0 {cert.p0}  brute bound {cert.brute_bound}  max transient {cert.max_transient}")
+    print(f"p0 {digit_reduction_threshold(system)}  brute bound {brute_bound(system)}  "
+          f"max transient {atlas.max_transient}")
     print("fixed points:", " ".join(str(x) for x in sorted(atlas.fixed_points)))
     for cycle in sorted(atlas.cycles, key=lambda c: c.members[0]):
         print(f"cycle of length {cycle.length}:", " ".join(str(m) for m in cycle.members))
@@ -311,9 +312,7 @@ def cmd_attractors(args) -> int:
 
 def _drop_attractor(atlas: AttractorAtlas, identifier: int) -> AttractorAtlas:
     # Test hook: deliberately truncate the atlas so verification must fail.
-    return AttractorAtlas(
-        system=atlas.system,
-        certificate=atlas.certificate,
+    return atlas._replace(
         fixed_points=frozenset(x for x in atlas.fixed_points if x != identifier),
         cycles=frozenset(c for c in atlas.cycles if c.identifier != identifier),
     )
@@ -341,16 +340,15 @@ def cmd_certify(args) -> int:
     system = DigitSystem(args.base, args.exp)
     stages: list[dict] = []
 
-    p0 = digit_reduction_threshold(system)
-    bound = brute_bound(system, p0)
-    p_max = max(args.p_max, p0)
+    bound = brute_bound(system)
+    p_max = max(args.p_max, digit_reduction_threshold(system))
     lo = args.lo if args.lo is not None else 0
     hi = args.hi if args.hi is not None else bound
     if lo > hi:
         print(f"error: empty verification range [{lo}, {hi}]", file=sys.stderr)
         return EXIT_USAGE
     check_size(hi - lo + 1, f"the verification range [{lo}, {hi}]")
-    check_bound_size(system, bound)
+    check_bound_size(system)
 
     threshold = threshold_inequality_check(system, p_max)
     stages.append({
@@ -362,7 +360,7 @@ def cmd_certify(args) -> int:
         "failing": threshold.failing_p,
     })
 
-    invariance = forward_invariance_scan(system, bound)
+    invariance = forward_invariance_scan(system)
     stages.append({
         "name": "forward-invariance",
         "ok": invariance.ok,
@@ -378,7 +376,7 @@ def cmd_certify(args) -> int:
         "ok": True,
         "fixed_points": len(atlas.fixed_points),
         "cycles": len(atlas.cycles),
-        "max_transient": atlas.certificate.max_transient,
+        "max_transient": atlas.max_transient,
         "failing": None,
     })
     if args.drop_attractor is not None:
@@ -518,6 +516,11 @@ def cmd_grid_verify(args) -> int:
             return EXIT_USAGE
     elif args.min > args.max:
         print(f"error: empty value range [{args.min}, {args.max}]", file=sys.stderr)
+        return EXIT_USAGE
+    elif args.max - args.min + 1 > sys.maxsize:
+        # random.choices draws from a range, whose length must fit a C ssize_t
+        print(f"error: value range [{args.min}, {args.max}] holds {args.max - args.min + 1} "
+              f"values, above the limit of {sys.maxsize}", file=sys.stderr)
         return EXIT_USAGE
     else:
         grids = args.trials

@@ -125,8 +125,8 @@ def step_until_repeat(n: int, sys: DigitSystem, max_steps: int) -> Trajectory:
 def _certified_budget(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> int:
     # Values with >= p0 digits lose at least one digit per step, so the
     # orbit is inside [0, B] after at most digit_count(n) steps; from
-    # there it reaches an attractor within max_transient steps.
-    return digit_count(n, sys) + atlas.certificate.max_transient + 2
+    # there it reaches an attractor within the atlas's max_transient steps.
+    return digit_count(n, sys) + atlas.max_transient + 2
 
 
 def _walk_to_atlas(n: int, atlas: AttractorAtlas, budget: int) -> tuple[Cycle | None, int]:
@@ -150,8 +150,9 @@ def _walk_to_atlas(n: int, atlas: AttractorAtlas, budget: int) -> tuple[Cycle | 
 def classify(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> Cycle:
     """Walk the orbit of n until it hits an attractor of the atlas.
 
-    Requires an atlas certified for the same system; the certificate is
-    what guarantees termination.
+    Requires an atlas certified for the same system: its longest
+    transient over [0, B], with the digit-count descent above B, is what
+    guarantees termination.
     """
     if atlas.system != sys:
         raise ValueError(f"atlas was certified for {atlas.system}, not {sys}")

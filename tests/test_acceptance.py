@@ -313,6 +313,28 @@ def test_cube_map_atlas_matches_independent_oracle(cubes, cubes_atlas):
     report("cube-map atlas equals the naive oracle", oracle_ok and frozen_ok)
 
 
+# Fixed points above 1 of the base-10 e-th-power map, the e-th-power
+# perfect digital invariants: those of e digits are the narcissistic numbers
+# of OEIS A005188; 4150, 4151 and 194979 are the fifth-power ones of other
+# lengths (Grundman & Teeple, Generalized happy numbers, Fibonacci Quarterly
+# 39, 2001).  The e = 3 values are checked by the cube test above.
+LITERATURE_FIXED_POINTS = {
+    4: {1634, 8208, 9474},
+    5: {4150, 4151, 54748, 92727, 93084, 194979},
+    6: {548834},
+}
+
+
+def test_atlases_match_literature_constants():
+    atlases = {e: enumerate_attractors(DigitSystem(10, e)) for e in LITERATURE_FIXED_POINTS}
+    fixed_ok = all(atlases[e].fixed_points == {0, 1} | expected
+                   for e, expected in LITERATURE_FIXED_POINTS.items())
+    # the fourth-power cycles: 2178 <-> 6514 and one 7-cycle through 1138
+    cycles_ok = sorted(c.length for c in atlases[4].cycles) == [2, 7]
+    report("(10,4)-(10,6) atlases match OEIS A005188 and Grundman & Teeple",
+           fixed_ok and cycles_ok)
+
+
 def test_attractors_json_is_byte_identical(capsys, tmp_path):
     argv = ["attractors", "--base", "10", "--exp", "2", "--json",
             "--cache-dir", str(tmp_path)]

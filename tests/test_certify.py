@@ -68,7 +68,7 @@ def test_threshold_and_bound_constants(base, exponent):
     system = DigitSystem(base, exponent)
     p0, bound = EXPECTED_CONSTANTS[(base, exponent)]
     assert digit_reduction_threshold(system) == p0
-    assert brute_bound(system, p0) == bound
+    assert brute_bound(system) == bound
     # minimality: the inequality fails just below the threshold
     if p0 > 2:
         assert system.digit_weight * (p0 - 1) >= base ** (p0 - 2)
@@ -81,13 +81,8 @@ def test_brute_bound_covers_exactly_the_shorter_values():
         for exponent in range(1, 25):
             system = DigitSystem(base, exponent)
             p0 = digit_reduction_threshold(system)
-            assert brute_bound(system, p0) == base ** (p0 - 1) - 1
+            assert brute_bound(system) == base ** (p0 - 1) - 1
             assert (base - 1) ** exponent * (p0 - 1) < base ** (p0 - 1), system
-
-
-def test_brute_bound_rejects_wrong_threshold(squares):
-    with pytest.raises(ValueError, match="not the digit-reduction threshold"):
-        brute_bound(squares, 5)
 
 
 def test_threshold_inequality_check(squares):
@@ -105,18 +100,10 @@ def test_threshold_inequality_check(squares):
 def test_forward_invariance_exhaustive(base, exponent):
     system = DigitSystem(base, exponent)
     _, bound = EXPECTED_CONSTANTS[(base, exponent)]
-    report = forward_invariance_scan(system, bound)
+    report = forward_invariance_scan(system)
     assert report.ok
     assert report.checked == bound + 1
     assert report.max_image <= bound
-
-
-def test_invariance_scan_catches_escapes(cubes):
-    # [0, 2187] is NOT forward-invariant for cubes: 1999 -> 1 + 3*729 = 2188
-    report = forward_invariance_scan(cubes, 2187)
-    assert not report.ok
-    assert report.escaping == 1999
-    assert report.max_image == 2188
 
 
 # systems whose image counts and checker are compared value by value with the map
@@ -126,7 +113,7 @@ TABLE_SYSTEMS = [(10, 2), (10, 3), (7, 5), (2, 1), (3, 3), (12, 3)]
 def without_attractor(atlas, identifier):
     return AttractorAtlas(
         system=atlas.system,
-        certificate=atlas.certificate,
+        max_transient=atlas.max_transient,
         fixed_points=atlas.fixed_points - {identifier},
         cycles=frozenset(c for c in atlas.cycles if c.identifier != identifier),
     )
@@ -135,9 +122,9 @@ def without_attractor(atlas, identifier):
 @pytest.mark.parametrize("base,exponent", TABLE_SYSTEMS, ids=str)
 def test_image_tables_equal_the_map(base, exponent):
     system = DigitSystem(base, exponent)
-    bound = brute_bound(system, digit_reduction_threshold(system))
+    bound = brute_bound(system)
     expected = [digit_power_sum(n, system) for n in range(bound + 1)]
-    counts, preimages, checked, max_image = _image_counts(system, bound)
+    counts, preimages, checked, max_image = _image_counts(system)
     assert counts == Counter(expected)
     assert (checked, max_image) == (bound + 1, max(expected))
     within = {}
@@ -154,28 +141,7 @@ def test_image_counts_must_cover_every_value(squares, monkeypatch):
     certify._image_counts.cache_clear()
     monkeypatch.setattr(certify, "factorial", lambda i: 1)
     with pytest.raises(CertificationError, match=r"counts of \[0, 999\] add up to 220 "):
-        forward_invariance_scan(squares, 999)
-
-
-@pytest.mark.parametrize("base,exponent,bound", [
-    (10, 3, 2187), (10, 3, 0), (10, 3, 1), (10, 2, 100), (7, 5, 50_000),
-    (3, 3, 50), (10, 30, 100),  # 9**30 overflows any machine int
-], ids=str)
-def test_truncated_tables_and_invariance_scan(base, exponent, bound):
-    # the image counts of [0, bound] are exact for any bound, b^k - 1 or not;
-    # the scan reports the first escape
-    system = DigitSystem(base, exponent)
-    expected = [digit_power_sum(n, system) for n in range(bound + 1)]
-    assert _image_counts(system, bound)[0] == Counter(expected)
-    report = forward_invariance_scan(system, bound)
-    escaping = next((n for n, image in enumerate(expected) if image > bound), None)
-    assert report.escaping == escaping
-    if escaping is None:
-        assert report.ok and report.checked == bound + 1
-        assert report.max_image == max(expected)
-    else:
-        assert not report.ok and report.checked == escaping + 1
-        assert report.max_image == expected[escaping]
+        forward_invariance_scan(squares)
 
 
 def walked_range(atlas, lo, hi, budget):
@@ -197,9 +163,9 @@ def test_checker_steps_equal_walks(base, exponent):
     # n alone reports the walk's own step count
     system = DigitSystem(base, exponent)
     atlas = enumerate_attractors(system)
-    bound = atlas.certificate.brute_bound
+    bound = brute_bound(system)
     largest = max(a.identifier for a in atlas.attractors)
-    enough = atlas.certificate.max_transient + 1  # a walk past it never arrives
+    enough = atlas.max_transient + 1  # a walk past it never arrives
     for checked_atlas in (atlas, without_attractor(atlas, largest)):
         for budget in range(enough + 1):
             for lo, hi in ((1, bound), (bound + 1, bound + 2000)):
@@ -213,7 +179,7 @@ def test_checker_steps_equal_walks(base, exponent):
                 assert (report.ok, report.checked, report.max_transient, report.failing) == (
                     (True, 1, taken, None) if attractor else (False, 0, 0, n)), n
     report = verify_range(system, atlas, 1, bound, max_steps=enough)
-    assert report.ok and report.max_transient == atlas.certificate.max_transient
+    assert report.ok and report.max_transient == atlas.max_transient
 
 
 # (lo, hi, max_steps) -> (ok, checked, max_transient, failing), as the
@@ -296,7 +262,7 @@ def test_certify_builds_no_table(capsys, monkeypatch, exponent):
         return digit_power_sum(n, sys)
 
     system = DigitSystem(10, int(exponent))
-    bound = brute_bound(system, digit_reduction_threshold(system))
+    bound = brute_bound(system)
     certify._image_counts.cache_clear()
     monkeypatch.setattr(certify, "digit_power_sum", counted)
     assert cli.main(["certify", "--exp", exponent, "--json"]) == 0
@@ -315,7 +281,7 @@ def test_multiset_checker_equals_walks(base, exponent):
     # failing n included
     system = DigitSystem(base, exponent)
     atlas = enumerate_attractors(system)
-    bound = atlas.certificate.brute_bound
+    bound = brute_bound(system)
     largest = max(a.identifier for a in atlas.attractors)
     default = default_step_budget(bound, system)
     for checked_atlas, budget in [(atlas, None), (atlas, 3),
@@ -323,7 +289,7 @@ def test_multiset_checker_equals_walks(base, exponent):
         report = verify_range(system, checked_atlas, 0, bound, max_steps=budget)
         expected = walked_range(checked_atlas, 0, bound, budget or default)
         assert (report.ok, report.checked, report.max_transient, report.failing) == expected
-    invariance = forward_invariance_scan(system, bound)
+    invariance = forward_invariance_scan(system)
     largest_image = max(digit_power_sum(n, system) for n in range(bound + 1))
     assert invariance == (system, bound, True, bound + 1, largest_image, None)
     assert invariance.max_image == digit_count(bound, system) * system.digit_weight
@@ -337,28 +303,37 @@ def test_multiset_checker_gives_members_no_steps(squares, squares_atlas):
     longest = [n for n in range(1000) if _walk_to_atlas(n, squares_atlas, 100)[1] == 11]
     widened = AttractorAtlas(
         system=squares,
-        certificate=squares_atlas.certificate,
+        max_transient=squares_atlas.max_transient,
         fixed_points=squares_atlas.fixed_points | set(longest),
         cycles=squares_atlas.cycles,
     )
     report = verify_range(squares, widened, 0, 999)
     assert (report.ok, report.checked, report.max_transient, report.failing) == walked_range(
         widened, 0, 999, default_step_budget(999, squares)) == (True, 1000, 10, None)
-    assert not set(longest) & set(_image_counts(squares, 999)[0])
+    assert not set(longest) & set(_image_counts(squares)[0])
     for budget in (None, 10):
         report = verify_range(squares, widened, 1, 999, max_steps=budget)
         assert (report.ok, report.checked, report.max_transient, report.failing) == walked_range(
             widened, 1, 999, budget or default_step_budget(999, squares)) == (True, 999, 10, None)
 
 
-def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch):
-    # 1999 -> 2188: with a brute bound of 2187 the range is not closed, and
-    # both the enumeration and the checker must say so rather than crash
-    monkeypatch.setattr(certify, "brute_bound", lambda sys, p0: 2187)
+def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch, request):
+    # with a threshold of 4 for cubes, B = 999 and [0, B] is not closed: the
+    # least escape is 79 -> 343 + 729 = 1072, and the invariance scan, the
+    # checker and the enumeration must each say so rather than crash; the
+    # image counts are kept per system, so none may outlive the patch
+    threshold = certify.digit_reduction_threshold
+    monkeypatch.setattr(certify, "digit_reduction_threshold",
+                        lambda sys: 4 if sys == cubes else threshold(sys))
+    certify._image_counts.cache_clear()
+    request.addfinalizer(certify._image_counts.cache_clear)
+    report = forward_invariance_scan(cubes)
+    assert (report.ok, report.escaping, report.checked, report.max_image) == (
+        False, 79, 80, 1072)
     report = verify_range(cubes, cubes_atlas, 0, 100)
-    assert not report.ok and report.failing == 1999 and report.checked == 0
-    assert report.reason == "f(1999) escapes [0, 2187]"
-    with pytest.raises(CertificationError, match="image 2188 of 1999 escapes"):
+    assert not report.ok and report.failing == 79 and report.checked == 0
+    assert report.reason == "f(79) escapes [0, 999]"
+    with pytest.raises(CertificationError, match="image 1072 of 79 escapes"):
         enumerate_attractors(cubes)
 
 
@@ -366,18 +341,18 @@ def test_oversized_work_is_refused(squares, squares_atlas):
     with pytest.raises(TooLargeError, match="limit"):
         enumerate_attractors(DigitSystem(10, 7))
     with pytest.raises(TooLargeError, match="limit"):
-        forward_invariance_scan(squares, MAX_VALUES)
+        forward_invariance_scan(DigitSystem(10, 7))
     with pytest.raises(TooLargeError, match=r"range \[0, 10000000\]"):
         verify_range(squares, squares_atlas, 0, MAX_VALUES)
     assert verify_range(squares, squares_atlas, 1, MAX_VALUES, max_steps=0).failing == 2
 
 
-def test_squares_atlas_contents(squares_atlas):
+def test_squares_atlas_contents(squares, squares_atlas):
     assert squares_atlas.fixed_points == frozenset({0, 1})
     assert squares_atlas.cycles == frozenset({Cycle(EIGHT_CYCLE)})
-    assert squares_atlas.certificate.p0 == 4
-    assert squares_atlas.certificate.brute_bound == 999
-    assert squares_atlas.certificate.max_transient == 11
+    assert digit_reduction_threshold(squares) == 4
+    assert brute_bound(squares) == 999
+    assert squares_atlas.max_transient == 11
     assert [a.identifier for a in squares_atlas.attractors] == [0, 1, 4]
     assert len(squares_atlas.member_to_attractor) == 10
 
@@ -387,14 +362,14 @@ def test_binary_atlases_have_only_fixed_points(base, exponent):
     atlas = enumerate_attractors(DigitSystem(base, exponent))
     assert atlas.fixed_points == frozenset({0, 1})
     assert atlas.cycles == frozenset()
-    assert atlas.certificate.max_transient == 2
+    assert atlas.max_transient == 2
 
 
 @pytest.mark.parametrize("base,exponent", sorted(EXPECTED_CONSTANTS), ids=str)
 def test_enumeration_matches_naive_oracle(base, exponent):
     system = DigitSystem(base, exponent)
     atlas = enumerate_attractors(system)
-    fixed, cycles = naive_attractors(system, atlas.certificate.brute_bound)
+    fixed, cycles = naive_attractors(system, brute_bound(system))
     assert atlas.fixed_points == fixed
     assert {c.members for c in atlas.cycles} == cycles
 
@@ -406,7 +381,7 @@ def test_verify_range_reports(squares, squares_atlas):
     assert single.ok and single.checked == 1 and single.max_transient == 0
     full = verify_range(squares, squares_atlas, 0, 999)
     assert full.ok and full.checked == 1000
-    assert full.max_transient == squares_atlas.certificate.max_transient
+    assert full.max_transient == squares_atlas.max_transient
     with pytest.raises(ValueError, match="empty range"):
         verify_range(squares, squares_atlas, 5, 4)
 
@@ -442,7 +417,7 @@ def test_verify_range_fails_on_truncated_atlas(squares, squares_atlas):
     for attractor in squares_atlas.attractors:
         truncated = AttractorAtlas(
             system=squares_atlas.system,
-            certificate=squares_atlas.certificate,
+            max_transient=squares_atlas.max_transient,
             fixed_points=squares_atlas.fixed_points - {attractor.identifier},
             cycles=frozenset(
                 c for c in squares_atlas.cycles if c.identifier != attractor.identifier
@@ -461,7 +436,7 @@ def test_validate_atlas_full(squares_atlas):
 def test_validate_atlas_catches_tampering(squares_atlas):
     missing_fixed = AttractorAtlas(
         system=squares_atlas.system,
-        certificate=squares_atlas.certificate,
+        max_transient=squares_atlas.max_transient,
         fixed_points=frozenset({0, 2}),  # 2 is not fixed
         cycles=squares_atlas.cycles,
     )
@@ -469,7 +444,7 @@ def test_validate_atlas_catches_tampering(squares_atlas):
         validate_atlas(missing_fixed)
     rotated = AttractorAtlas(
         system=squares_atlas.system,
-        certificate=squares_atlas.certificate,
+        max_transient=squares_atlas.max_transient,
         fixed_points=squares_atlas.fixed_points,
         cycles=frozenset({Cycle(EIGHT_CYCLE[1:] + EIGHT_CYCLE[:1])}),
     )

@@ -146,11 +146,16 @@ def test_attractors_rejects_tampered_cache(capsys, tmp_path):
     assert out == honest
 
 
-@pytest.mark.parametrize("field,value", [("cycles", []), ("max_transient", 0)],
-                         ids=["cycles", "max_transient"])
-def test_incomplete_cache_is_healed(capsys, tmp_path, field, value):
+@pytest.mark.parametrize("field,value,reason", [
+    ("cycles", [], "2 does not reach the atlas: no atlas member within 1029 steps"),
+    ("max_transient", 0, "max transient 11 != certificate 0"),
+    ("p0", 5, "certificate p0=5 but threshold is 4"),
+    ("brute_bound", "9999", "certificate B=9999 but formula gives 999"),
+], ids=["cycles", "max_transient", "p0", "brute_bound"])
+def test_incomplete_cache_is_healed(capsys, tmp_path, field, value, reason):
     # a cache that passes every consistency check but leaves out the
-    # 8-cycle, or claims a wrong longest transient, is rebuilt and rewritten
+    # 8-cycle, or claims a wrong longest transient, is rebuilt and rewritten;
+    # so is one whose p0 or B is not the one the system gives
     cache = ("--cache-dir", str(tmp_path))
     code, honest, _ = run_cli(capsys, "attractors", "--json", *cache)
     assert code == 0
@@ -161,7 +166,7 @@ def test_incomplete_cache_is_healed(capsys, tmp_path, field, value):
     cache_file.write_text(json.dumps(record), encoding="utf-8")
     code, out, err = run_cli(capsys, "classify", "4", *cache)
     assert code == 0 and out.startswith("4 reaches cycle of length 8:")
-    assert "warning: ignoring corrupt atlas cache" in err
+    assert err == f"warning: ignoring corrupt atlas cache {cache_file}: {reason}\n"
     assert cache_file.read_text(encoding="utf-8") == good
     code, out, err = run_cli(capsys, "attractors", "--json", *cache)
     assert code == 0 and out == honest and err == ""
@@ -472,6 +477,16 @@ def test_grid_verify_bad_range(capsys):
     )
     assert code == 2
     assert "empty value range" in err
+    # random.choices draws from a range, whose length must fit a C ssize_t
+    widest = str(sys.maxsize - 1)
+    code, out, err = run_cli(capsys, "grid", "verify", "--min", "0", "--max", widest,
+                             "--trials", "3")
+    assert code == 0 and err == "" and out == "verified 3 grids of shape 3x3: ok\n"
+    code, out, err = run_cli(capsys, "grid", "verify", "--min", "-1", "--max", widest,
+                             "--trials", "3")
+    assert code == 2 and out == ""
+    assert err == (f"error: value range [-1, {widest}] holds {sys.maxsize + 1} values, "
+                   f"above the limit of {sys.maxsize}\n")
 
 
 @pytest.mark.parametrize(
