@@ -51,7 +51,7 @@ class CertificationError(RuntimeError):
 
 
 class TooLargeError(ValueError):
-    """The work asked for exceeds MAX_VALUES values; nothing was built."""
+    """The work asked for exceeds a size limit; nothing was built."""
 
 
 def check_size(count: int, what: str) -> None:
@@ -317,12 +317,16 @@ def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
     )
 
 
-def default_step_budget(n: int, sys: DigitSystem) -> int:
+def default_step_budget(n: int, sys: DigitSystem, digits: int | None = None) -> int:
     """Step budget generous against the certified descent rates.
 
-    10 steps per digit of n plus the brute bound, never below 1000.
+    10 steps per digit of n plus the brute bound, never below 1000.  A
+    caller that holds the digit count of the start, not the start itself,
+    passes it as `digits`, and n is not read.
     """
-    return max(1000, 10 * digit_count(n, sys) + brute_bound(sys))
+    if digits is None:
+        digits = digit_count(n, sys)
+    return max(1000, 10 * digits + brute_bound(sys))
 
 
 def _levels(preimages: dict[int, list[int]], members: list[int]) -> dict[int, int]:
@@ -389,6 +393,8 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     base, unreached = sys.base, budget + 1
     powers = [d**sys.exponent for d in range(base)]
     last_q = last_image = -1
+    # f of the values that values above B map down to: few and scattered
+    mapped_down: dict[int, int] = {}
     max_transient = 0
     for n in range(lo, hi + 1):
         value, taken = n, 0
@@ -396,11 +402,17 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
             value = digit_power_sum(value, sys)
             taken += 1
         if value not in level:
-            # f(q*b + d) = f(q) + d^e, and runs of consecutive values share q
-            q = value // base
-            if q != last_q:
-                last_q, last_image = q, digit_power_sum(q, sys)
-            value = last_image + powers[value - q * base]
+            if taken:
+                image = mapped_down.get(value)
+                if image is None:
+                    image = mapped_down[value] = digit_power_sum(value, sys)
+                value = image
+            else:
+                # f(q*b + d) = f(q) + d^e, and runs of consecutive values share q
+                q = value // base
+                if q != last_q:
+                    last_q, last_image = q, digit_power_sum(q, sys)
+                value = last_image + powers[value - q * base]
             taken += 1
         # a value whose orbit never reaches the atlas takes over budget steps
         taken += level.get(value, unreached)

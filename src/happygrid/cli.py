@@ -81,21 +81,34 @@ MAX_CELLS_PER_GRID = 10**5
 # base 10**6, and 10**5 takes 0.9 s for base 10 (Python 3.11, 2-vCPU Xeon).
 MAX_P_MAX = 10**4
 
+# A start that is converted to an int holds at most this many digits; a
+# base-10 start of p0 or more digits is not converted and has no limit.
+# Conversion and the first step are both quadratic before CPython 3.12: in
+# base 7 they take 0.11 + 0.22 s at 131,071 digits and 0.37 + 0.71 s at
+# 250,000 (Python 3.11, 2-vCPU Xeon).  cli.main lifts the interpreter's
+# int-string limit to this.
+MAX_START_DIGITS = 250_000
+
+# `grid verify` draws from value ranges of at most this many values.
+# random.choices takes floor(random() * n) from a 53-bit float, so a wider
+# range would be drawn unevenly and parts of it never.
+MAX_DRAWN_VALUES = 2**53
+
 
 # ----------------------------- argument types ------------------------------
 
-def natural_arg(text: str) -> int:
-    # ASCII only, like the grid parser: str.isdigit alone also accepts
-    # fullwidth and superscript digits.
+def start_arg(text: str) -> str:
+    # The digits without leading zeros: output echoes them, and a long
+    # base-10 start is never converted (see _start_value).  ASCII only, like
+    # the grid parser: str.isdigit alone also accepts fullwidth and
+    # superscript digits.
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"not a nonnegative decimal integer: {text!r}")
-    return int(text)
+    return text.lstrip("0") or "0"
 
 
-def start_arg(text: str) -> tuple[str, int]:
-    # (digits without leading zeros, value): echoing the digits saves
-    # converting a huge start back to decimal.
-    return text.lstrip("0") or "0", natural_arg(text)
+def natural_arg(text: str) -> int:
+    return int(start_arg(text))
 
 
 def ascii_int(text: str) -> int:
@@ -234,31 +247,55 @@ def load_or_build_atlas(system: DigitSystem, cache_dir: Path) -> AttractorAtlas:
 
 # -------------------------------- commands ---------------------------------
 
+def _start_value(digits: str, system: DigitSystem) -> tuple[int, int]:
+    """(steps taken, value) for a start given by its digits without leading zeros.
+
+    A base-10 start of p0 or more digits is above B, so it is no atlas
+    member, and its orbit never comes back to it: f(n) < n for every such n,
+    and [0, B] is forward-invariant.  It is replaced by its image, taken from
+    its digit counts in time linear in its length, and no int of it is
+    built.  Any other start is converted, and refused above MAX_START_DIGITS.
+    """
+    if system.base == 10 and len(digits) >= digit_reduction_threshold(system):
+        return 1, sum(digits.count(d) * int(d) ** system.exponent for d in "123456789")
+    if len(digits) > MAX_START_DIGITS:
+        raise TooLargeError(f"a start of {len(digits)} digits is above the limit of "
+                            f"{MAX_START_DIGITS} for base {system.base}")
+    return 0, int(digits)
+
+
 def cmd_traj(args) -> int:
     system = DigitSystem(args.base, args.exp)
-    digits, n = args.n
-    budget = args.max_steps or default_step_budget(n, system)
-    try:
-        traj = step_until_repeat(n, system, budget)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}; raise --max-steps", file=sys.stderr)
+    digits = args.n
+    taken, n = _start_value(digits, system)
+    # the default budget counts the start's digits, not its image's
+    budget = args.max_steps or default_step_budget(
+        n, system, digits=len(digits) if taken else None)
+    traj = None
+    if budget > taken:
+        with contextlib.suppress(BudgetExceededError):
+            traj = step_until_repeat(n, system, budget - taken)
+    if traj is None:
+        print(f"error: orbit of {digits} did not repeat within {budget} steps; "
+              "raise --max-steps", file=sys.stderr)
         return EXIT_USAGE
-    steps = [digits] + [str(v) for v in traj.steps[1:]]
+    # a start that took its first step is steps[0], and the walk's indices shift by one
+    steps = [digits] + [str(v) for v in traj.steps[1 - taken:]]
     if args.json:
         print(dumps_canonical({
             "base": system.base,
             "exponent": system.exponent,
             "start": steps[0],
             "steps": steps,
-            "entry_index": traj.entry_index,
-            "transient_length": traj.transient_length,
+            "entry_index": traj.entry_index + taken,
+            "transient_length": traj.transient_length + taken,
             "terminal_cycle": [str(m) for m in traj.terminal.members],
             "cycle_length": traj.terminal.length,
         }), end="")
         return EXIT_OK
     print(f"base {system.base} exponent {system.exponent}")
     print("orbit:", " ".join(steps))
-    print(f"transient length: {traj.transient_length}")
+    print(f"transient length: {traj.transient_length + taken}")
     kind = "fixed point" if traj.terminal.is_fixed_point else f"cycle of length {traj.terminal.length}"
     print(f"terminal {kind}:", " ".join(str(m) for m in traj.terminal.members))
     return EXIT_OK
@@ -267,7 +304,9 @@ def cmd_traj(args) -> int:
 def cmd_classify(args) -> int:
     """`classify` names the attractor N reaches; `happy` only says if it is 1."""
     system = DigitSystem(args.base, args.exp)
-    digits, n = args.n
+    digits = args.n
+    # n and its image reach the same attractor
+    _, n = _start_value(digits, system)
     atlas = load_or_build_atlas(system, args.cache_dir)
     try:
         attractor = classify(n, system, atlas)
@@ -517,10 +556,9 @@ def cmd_grid_verify(args) -> int:
     elif args.min > args.max:
         print(f"error: empty value range [{args.min}, {args.max}]", file=sys.stderr)
         return EXIT_USAGE
-    elif args.max - args.min + 1 > sys.maxsize:
-        # random.choices draws from a range, whose length must fit a C ssize_t
+    elif args.max - args.min + 1 > MAX_DRAWN_VALUES:
         print(f"error: value range [{args.min}, {args.max}] holds {args.max - args.min + 1} "
-              f"values, above the limit of {sys.maxsize}", file=sys.stderr)
+              f"values, above the limit of {MAX_DRAWN_VALUES}", file=sys.stderr)
         return EXIT_USAGE
     else:
         grids = args.trials
@@ -689,10 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Decimal strings of thousands of digits are a supported input, so lift
-    # the int<->str conversion guard well above any practical orbit start.
+    # Starts of up to MAX_START_DIGITS digits are converted, so lift the
+    # int<->str conversion guard that far; a longer --lo or --hi is then a
+    # usage error.
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), MAX_START_DIGITS))
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

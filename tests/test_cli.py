@@ -8,7 +8,15 @@ import time
 import pytest
 
 import happygrid.cli as cli
+import happygrid.dynamics as dynamics
+from happygrid.certify import (
+    default_step_budget,
+    digit_reduction_threshold,
+    enumerate_attractors,
+)
 from happygrid.cli import main
+from happygrid.digitmap import DigitSystem
+from happygrid.dynamics import classify, step_until_repeat
 
 WORKED_GRID = "1 8 3 4 8\n0 9 2 7 14\n20 3 6 7 7\n"
 WORKED_BOTH = (
@@ -86,6 +94,140 @@ def test_start_echoes_argv_digits(capsys, tmp_path):
     assert code == 0 and json.loads(out)["steps"][0] == "12"
     code, out, _ = run_cli(capsys, "classify", "0012", *cache)
     assert code == 0 and out.startswith("12 reaches cycle of length 8:")
+
+
+# an attractor member of p0 - 1 digits, the longest a member may have
+LONGEST_MEMBER = {2: "145", 3: "1459", 4: "13139", 5: "194979"}
+
+
+def _starts(exponent: int) -> list[str]:
+    # around the length p0 from which a base-10 start takes its first step
+    # from its digit counts, with members, zeros and leading zeros
+    p0 = digit_reduction_threshold(DigitSystem(10, exponent))
+    return ["0", "000", "0001634", "1", "4", "1634", "4150", LONGEST_MEMBER[exponent],
+            "0" + LONGEST_MEMBER[exponent], "9" * (p0 - 1), "9" * p0,
+            "1" * p0, "0" + "9" * (p0 - 1), "31415926535"[:p0 - 1], "27182818284"[:p0],
+            "1" * 153, "123456789" * 55 + "12345"]
+
+
+def _expected_output(command: str, as_json: bool, text: str, system: DigitSystem,
+                     atlas) -> str:
+    """What the CLI prints for a start, rendered from the library on int(text)."""
+    digits, n = text.lstrip("0") or "0", int(text)
+    if command == "traj":
+        traj = step_until_repeat(n, system, default_step_budget(n, system))
+        steps = [digits] + [str(v) for v in traj.steps[1:]]
+        cycle = traj.terminal
+        if as_json:
+            return cli.dumps_canonical({
+                "base": 10, "exponent": system.exponent, "start": digits, "steps": steps,
+                "entry_index": traj.entry_index, "transient_length": traj.transient_length,
+                "terminal_cycle": [str(m) for m in cycle.members],
+                "cycle_length": cycle.length,
+            })
+        kind = "fixed point" if cycle.is_fixed_point else f"cycle of length {cycle.length}"
+        return (f"base 10 exponent {system.exponent}\norbit: {' '.join(steps)}\n"
+                f"transient length: {traj.transient_length}\n"
+                f"terminal {kind}: {' '.join(str(m) for m in cycle.members)}\n")
+    cycle = classify(n, system, atlas)
+    happy = cycle.members == (1,)
+    if as_json:
+        record = {"base": 10, "exponent": system.exponent, "start": digits, "happy": happy}
+        if command == "classify":
+            record["attractor"] = cli.cycle_record(cycle)
+        return cli.dumps_canonical(record)
+    if command == "happy":
+        return "yes\n" if happy else "no\n"
+    kind = "fixed point" if cycle.is_fixed_point else f"cycle of length {cycle.length}"
+    return (f"{digits} reaches {kind}: {' '.join(str(m) for m in cycle.members)}\n"
+            f"happy: {'yes' if happy else 'no'}\n")
+
+
+@pytest.mark.parametrize("exponent", [2, 3, 4, 5])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["classify", "happy", "traj"])
+def test_long_starts_print_what_their_values_give(capsys, tmp_path_factory, command,
+                                                  as_json, exponent):
+    # a base-10 start of p0 or more digits is replaced by its image before
+    # the walk; the output is that of the walk from the start itself
+    system = DigitSystem(10, exponent)
+    atlas = enumerate_attractors(system)
+    cache = tmp_path_factory.getbasetemp() / f"long-starts-e{exponent}"
+    for text in _starts(exponent):
+        argv = [command, text, "--exp", str(exponent)] + ["--json"] * as_json
+        if command != "traj":
+            argv += ["--cache-dir", str(cache)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == _expected_output(command, as_json, text, system, atlas), text
+
+
+@pytest.mark.parametrize("command", ["classify", "happy", "traj"])
+def test_long_base10_start_builds_no_big_int(capsys, tmp_path, monkeypatch, command):
+    # the first step of a 10**5-digit start comes from its digit counts, so
+    # the map only ever sees small values
+    sizes = []
+
+    def recorded(n, sys):
+        sizes.append(n.bit_length())
+        return digit_power_sum(n, sys)
+
+    def walked(n, system, max_steps):
+        budgets.append(max_steps)
+        return step_until_repeat(n, system, max_steps)
+
+    digit_power_sum, budgets = dynamics.digit_power_sum, []
+    monkeypatch.setattr(dynamics, "digit_power_sum", recorded)
+    monkeypatch.setattr(cli, "step_until_repeat", walked)
+    start = "7" + "0123456789" * 10**4
+    argv = [command, start, "--json"]
+    if command != "traj":
+        argv += ["--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and json.loads(out)["start"] == start
+    assert sizes and max(sizes) <= 64
+    # the default budget counts the start's digits, less the step taken
+    assert budgets == ([10 * len(start) + 999 - 1] if command == "traj" else [])
+
+
+@pytest.mark.parametrize("budget", ["1", "2"])
+def test_long_start_budget_message(capsys, budget):
+    start = "9" * 300
+    code, out, err = run_cli(capsys, "traj", "000" + start, "--max-steps", budget)
+    assert code == 2 and out == ""
+    assert err == f"error: orbit of {start} did not repeat within {budget} steps; raise --max-steps\n"
+
+
+def test_converted_starts_are_capped(capsys, tmp_path, monkeypatch):
+    # a start that is not base 10, or shorter than p0, goes through int(),
+    # which is quadratic in its digits before CPython 3.12
+    start = "1" * (cli.MAX_START_DIGITS + 1)
+    for command in ("classify", "happy", "traj"):
+        argv = [command, start, "--base", "7", "--cache-dir", str(tmp_path)]
+        code, out, err = run_cli(capsys, *argv[:-2] if command == "traj" else argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: a start of {len(start)} digits is above the limit of "
+                       f"{cli.MAX_START_DIGITS} for base 7\n")
+    assert list(tmp_path.iterdir()) == []  # refused before the atlas is built
+    # base-10 starts of p0 or more digits are never converted: no cap
+    code, out, _ = run_cli(capsys, "happy", start, "--cache-dir", str(tmp_path))
+    assert code == 0 and out == "no\n"  # 250001 -> 30 -> 9 -> 81 -> 65 -> 61 -> 37
+    monkeypatch.setattr(cli, "MAX_START_DIGITS", 40)
+    code, out, _ = run_cli(capsys, "traj", "1" * 40, "--base", "7", "--json")
+    image = str(dynamics.digit_power_sum(int("1" * 40), DigitSystem(7, 2)))
+    assert code == 0 and json.loads(out)["steps"][:2] == ["1" * 40, image]
+    code, _, err = run_cli(capsys, "traj", "1" * 41, "--base", "7", "--json")
+    assert code == 2 and "above the limit of 40 for base 7" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-string limit before Python 3.11")
+def test_range_option_above_the_int_string_limit(capsys):
+    # cli.main lifts the limit to MAX_START_DIGITS; a longer --hi is a usage error
+    with pytest.raises(SystemExit) as exc_info:
+        main(["certify", "--hi", "1" * (cli.MAX_START_DIGITS + 1)])
+    assert exc_info.value.code == 2
+    assert "argument --hi: invalid natural_arg value" in capsys.readouterr().err
 
 
 def test_attractors_output_and_cache(capsys, tmp_path, monkeypatch):
@@ -477,16 +619,19 @@ def test_grid_verify_bad_range(capsys):
     )
     assert code == 2
     assert "empty value range" in err
-    # random.choices draws from a range, whose length must fit a C ssize_t
-    widest = str(sys.maxsize - 1)
+    # random.choices takes floor(random() * n) from a 53-bit float, which
+    # draws every value of a range of at most 2**53 values
+    widest = str(2**53 - 1)
     code, out, err = run_cli(capsys, "grid", "verify", "--min", "0", "--max", widest,
                              "--trials", "3")
     assert code == 0 and err == "" and out == "verified 3 grids of shape 3x3: ok\n"
-    code, out, err = run_cli(capsys, "grid", "verify", "--min", "-1", "--max", widest,
-                             "--trials", "3")
-    assert code == 2 and out == ""
-    assert err == (f"error: value range [-1, {widest}] holds {sys.maxsize + 1} values, "
-                   f"above the limit of {sys.maxsize}\n")
+    for low, top in (("-1", widest), ("0", str(sys.maxsize - 1))):
+        count = int(top) - int(low) + 1
+        code, out, err = run_cli(capsys, "grid", "verify", "--min", low, "--max", top,
+                                 "--trials", "3")
+        assert code == 2 and out == ""
+        assert err == (f"error: value range [{low}, {top}] holds {count} values, "
+                       f"above the limit of {2**53}\n")
 
 
 @pytest.mark.parametrize(
