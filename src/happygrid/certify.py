@@ -45,6 +45,16 @@ from .dynamics import Cycle, canonicalize_cycle
 # on the multiset count is measured.
 MAX_VALUES = 10**7
 
+# A value above B costs one map of all its digits: about 0.3 us a digit,
+# plus big-int divisions that grow as the square of its size and dominate
+# from about 10**5 bits on, so a value of n digits and k bits counts
+# n + (k // 400)**2 units of work.  At this many units the largest ranges
+# allowed take 28-49 s: 33 values of 830,482 bits (250,000 decimal digits,
+# the longest --hi the CLI reads) in base 36, 487 of 60,000 digits and
+# 140,977 of 1,000 digits in base 10, 6 * 10**6 of 24 bits in base 2 and
+# 15,685 of 33,000 bits in base 3162 (Python 3.11, 2-vCPU Xeon).
+MAX_RANGE_WORK = 15 * 10**7
+
 
 class CertificationError(RuntimeError):
     """An internal consistency check failed; certification is void."""
@@ -58,6 +68,23 @@ def check_size(count: int, what: str) -> None:
     """Refuse, before anything is allocated, work over more than MAX_VALUES values."""
     if count > MAX_VALUES:
         raise TooLargeError(f"{what} holds {count} values, above the limit of {MAX_VALUES}")
+
+
+def check_range_size(sys: DigitSystem, lo: int, hi: int) -> None:
+    """Refuse, before any value is visited, to verify [lo, hi] above the work limits.
+
+    The range holds at most MAX_VALUES values, and its values above B count
+    at most MAX_RANGE_WORK units, each at the size of hi.
+    """
+    check_size(hi - lo + 1, f"the verification range [{lo}, {hi}]")
+    above = hi - max(lo, brute_bound(sys) + 1) + 1
+    if above > 0:
+        digits = digit_count(hi, sys)
+        work = above * (digits + (hi.bit_length() // 400) ** 2)
+        if work > MAX_RANGE_WORK:
+            raise TooLargeError(f"the verification range holds {above} values above B of up to "
+                                f"{digits} digits, {work} units of work, above the limit of "
+                                f"{MAX_RANGE_WORK}")
 
 
 def check_bound_size(sys: DigitSystem) -> None:
@@ -98,26 +125,25 @@ class AttractorAtlas(_AtlasFields):
         return table
 
 
+# Every report names its least failing case `failing`, None when it passes.
+
 class ThresholdReport(NamedTuple):
-    system: DigitSystem
     p0: int
     p_max: int
     ok: bool
     minimal: bool
-    failing_p: int | None = None
+    failing: int | None = None
 
 
 class InvarianceReport(NamedTuple):
-    system: DigitSystem
     bound: int
     ok: bool
     checked: int
     max_image: int
-    escaping: int | None = None
+    failing: int | None = None
 
 
 class RangeReport(NamedTuple):
-    system: DigitSystem
     lo: int
     hi: int
     ok: bool
@@ -184,15 +210,19 @@ def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
     power = sys.base ** (p0 - 1)  # base^(p-1), one multiplication per p
     for p in range(p0, p_max + 1):
         if weight * p >= power:
-            return ThresholdReport(sys, p0, p_max, ok=False, minimal=True, failing_p=p)
+            return ThresholdReport(p0, p_max, ok=False, minimal=True, failing=p)
         power *= sys.base
     minimal = p0 == 2 or weight * (p0 - 1) >= sys.base ** (p0 - 2)
-    return ThresholdReport(sys, p0, p_max, ok=minimal, minimal=minimal)
+    return ThresholdReport(p0, p_max, ok=minimal, minimal=minimal)
 
 
-@lru_cache(maxsize=1)
-def _image_counts(sys: DigitSystem) -> tuple[dict[int, int], dict[int, list[int]], int, int]:
-    """f over [0, B]: image counts, preimages, the counts' total and the largest image.
+# A few systems are kept, so a process that certifies several in turn finds
+# each one's counts again whatever the order: with one kept, how often the
+# map ran depended on which system came last.  An entry holds at most one
+# image per multiset: 1.2 MB at (10,6), 6.6 MB at (36,3).
+@lru_cache(maxsize=8)
+def _image_counts(sys: DigitSystem) -> tuple[dict[int, int], dict[int, list[int]], int]:
+    """f over [0, B]: image counts, preimages and the largest image.
 
     The counts map each image to how many values of [0, B] map to it, and
     the preimages map a value to the images whose image it is, so the image
@@ -202,8 +232,8 @@ def _image_counts(sys: DigitSystem) -> tuple[dict[int, int], dict[int, list[int]
     C(k+b-1, b-1) multisets is evaluated once, by digit_power_sum on its
     least arrangement, and stands for its multinomial number of arrangements
     (the combination search of Deimel & Jones, J. Recreational Math. 14,
-    1981-82).  The last result is kept for every stage to share: do not
-    mutate it.
+    1981-82).  The results are kept for every stage to share: do not mutate
+    them.
     """
     check_bound_size(sys)
     base = sys.base
@@ -220,16 +250,16 @@ def _image_counts(sys: DigitSystem) -> tuple[dict[int, int], dict[int, list[int]
             arrangements //= factorials[multiset.count(d)]
         image = digit_power_sum(least, sys)
         counts[image] = counts.get(image, 0) + arrangements
-    checked = sum(counts.values())
-    if checked != bound + 1:
+    total = sum(counts.values())
+    if total != bound + 1:
         raise CertificationError(
-            f"the image counts of [0, {bound}] add up to {checked} for {sys} "
+            f"the image counts of [0, {bound}] add up to {total} for {sys} "
             "(implementation bug)"
         )
     preimages: dict[int, list[int]] = {}
     for value in counts:
         preimages.setdefault(digit_power_sum(value, sys), []).append(value)
-    return counts, preimages, checked, max(counts)
+    return counts, preimages, max(counts)
 
 
 def forward_invariance_scan(sys: DigitSystem) -> InvarianceReport:
@@ -240,12 +270,12 @@ def forward_invariance_scan(sys: DigitSystem) -> InvarianceReport:
     the least escaping value.
     """
     bound = brute_bound(sys)
-    _, _, checked, max_image = _image_counts(sys)
+    max_image = _image_counts(sys)[2]
     if max_image <= bound:
-        return InvarianceReport(sys, bound, ok=True, checked=checked, max_image=max_image)
+        return InvarianceReport(bound, ok=True, checked=bound + 1, max_image=max_image)
     escaping = next(n for n in range(bound + 1) if digit_power_sum(n, sys) > bound)
-    return InvarianceReport(sys, bound, ok=False, checked=escaping + 1,
-                            max_image=digit_power_sum(escaping, sys), escaping=escaping)
+    return InvarianceReport(bound, ok=False, checked=escaping + 1,
+                            max_image=digit_power_sum(escaping, sys), failing=escaping)
 
 
 _ON_PATH = -1
@@ -287,7 +317,7 @@ def enumerate_attractors(sys: DigitSystem) -> AttractorAtlas:
     if max(image_set) > bound:
         escape = forward_invariance_scan(sys)
         raise CertificationError(
-            f"image {escape.max_image} of {escape.escaping} escapes "
+            f"image {escape.max_image} of {escape.failing} escapes "
             f"[0, {bound}] for {sys}; brute bound is wrong (implementation bug)"
         )
     transient: dict[int, int] = {}
@@ -370,13 +400,13 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
     lo, hi = as_natural(lo), as_natural(hi)
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    check_size(hi - lo + 1, f"the range [{lo}, {hi}]")
+    check_range_size(sys, lo, hi)
     budget = max_steps if max_steps is not None else default_step_budget(hi, sys)
     bound = brute_bound(sys)
-    counts, preimages, checked, max_image = _image_counts(sys)
+    counts, preimages, max_image = _image_counts(sys)
     if max_image > bound:
-        escaping = forward_invariance_scan(sys).escaping
-        return RangeReport(sys, lo, hi, ok=False, checked=0, max_transient=0,
+        escaping = forward_invariance_scan(sys).failing
+        return RangeReport(lo, hi, ok=False, checked=0, max_transient=0,
                            failing=escaping, reason=f"f({escaping}) escapes [0, {bound}]")
     members = [m for m in atlas.member_to_attractor if m <= bound]
     level = _levels(preimages, members)
@@ -388,7 +418,7 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
         max_transient = max((level.get(image, budget) + 1
                              for image, count in non_members.items() if count), default=0)
         if max_transient <= budget:
-            return RangeReport(sys, lo, hi, ok=True, checked=checked,
+            return RangeReport(lo, hi, ok=True, checked=bound + 1,
                                max_transient=max_transient)
     base, unreached = sys.base, budget + 1
     powers = [d**sys.exponent for d in range(base)]
@@ -417,11 +447,11 @@ def verify_range(sys: DigitSystem, atlas: AttractorAtlas, lo: int, hi: int,
         # a value whose orbit never reaches the atlas takes over budget steps
         taken += level.get(value, unreached)
         if taken > budget:
-            return RangeReport(sys, lo, hi, ok=False, checked=n - lo, max_transient=max_transient,
+            return RangeReport(lo, hi, ok=False, checked=n - lo, max_transient=max_transient,
                                failing=n, reason=f"no atlas member within {budget} steps")
         if taken > max_transient:
             max_transient = taken
-    return RangeReport(sys, lo, hi, ok=True, checked=hi - lo + 1,
+    return RangeReport(lo, hi, ok=True, checked=hi - lo + 1,
                        max_transient=max_transient)
 
 
@@ -455,13 +485,13 @@ def three_digit_identity_check() -> IdentityReport:
     return IdentityReport(ok=True, checked=checked, min_descent=min_descent)
 
 
-def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
-    """Re-check atlas invariants; raise CertificationError on any violation.
+def validate_atlas(atlas: AttractorAtlas) -> None:
+    """Re-check an atlas; raise CertificationError on any violation.
 
     The cheap checks (fixed points fixed, cycles closed and canonical,
-    attractors disjoint) always run.  With exhaustive=True, verify_range
-    re-checks all of [0, B] from its digit multisets (failing on an escaping
-    image) and the atlas's longest transient.
+    attractors disjoint) run first.  Then verify_range re-checks all of
+    [0, B] from its digit multisets (failing on an escaping image) and the
+    atlas's longest transient.
     """
     sys = atlas.system
     for value in atlas.fixed_points:
@@ -477,13 +507,10 @@ def validate_atlas(atlas: AttractorAtlas, exhaustive: bool = False) -> None:
         if seen & set(cycle.members):
             raise CertificationError(f"attractors overlap on {seen & set(cycle.members)}")
         seen |= set(cycle.members)
-    if exhaustive:
-        report = verify_range(sys, atlas, 0, brute_bound(sys))
-        if not report.ok:
-            raise CertificationError(
-                f"{report.failing} does not reach the atlas: {report.reason}"
-            )
-        if report.max_transient != atlas.max_transient:
-            raise CertificationError(
-                f"max transient {report.max_transient} != certificate {atlas.max_transient}"
-            )
+    report = verify_range(sys, atlas, 0, brute_bound(sys))
+    if not report.ok:
+        raise CertificationError(f"{report.failing} does not reach the atlas: {report.reason}")
+    if report.max_transient != atlas.max_transient:
+        raise CertificationError(
+            f"max transient {report.max_transient} != certificate {atlas.max_transient}"
+        )

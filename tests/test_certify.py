@@ -88,7 +88,7 @@ def test_brute_bound_covers_exactly_the_shorter_values():
 def test_threshold_inequality_check(squares):
     report = threshold_inequality_check(squares, 100)
     assert report.ok and report.minimal and report.p0 == 4
-    assert report.failing_p is None
+    assert report.failing is None
     # the explicit minimality witness at p = 3
     assert 81 * 3 >= 10**2
     assert threshold_inequality_check(DigitSystem(2, 1), 64).ok
@@ -124,9 +124,9 @@ def test_image_tables_equal_the_map(base, exponent):
     system = DigitSystem(base, exponent)
     bound = brute_bound(system)
     expected = [digit_power_sum(n, system) for n in range(bound + 1)]
-    counts, preimages, checked, max_image = _image_counts(system)
+    counts, preimages, max_image = _image_counts(system)
     assert counts == Counter(expected)
-    assert (checked, max_image) == (bound + 1, max(expected))
+    assert max_image == max(expected)
     within = {}
     for value in sorted(counts):
         within.setdefault(digit_power_sum(value, system), []).append(value)
@@ -290,7 +290,7 @@ def test_multiset_checker_equals_walks(base, exponent):
         assert (report.ok, report.checked, report.max_transient, report.failing) == expected
     invariance = forward_invariance_scan(system)
     largest_image = max(digit_power_sum(n, system) for n in range(bound + 1))
-    assert invariance == (system, bound, True, bound + 1, largest_image, None)
+    assert invariance == (bound, True, bound + 1, largest_image, None)
     assert invariance.max_image == digit_count(bound, system) * system.digit_weight
 
 
@@ -327,7 +327,7 @@ def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch, req
     certify._image_counts.cache_clear()
     request.addfinalizer(certify._image_counts.cache_clear)
     report = forward_invariance_scan(cubes)
-    assert (report.ok, report.escaping, report.checked, report.max_image) == (
+    assert (report.ok, report.failing, report.checked, report.max_image) == (
         False, 79, 80, 1072)
     report = verify_range(cubes, cubes_atlas, 0, 100)
     assert not report.ok and report.failing == 79 and report.checked == 0
@@ -344,6 +344,22 @@ def test_oversized_work_is_refused(squares, squares_atlas):
     with pytest.raises(TooLargeError, match=r"range \[0, 10000000\]"):
         verify_range(squares, squares_atlas, 0, MAX_VALUES)
     assert verify_range(squares, squares_atlas, 1, MAX_VALUES, max_steps=0).failing == 2
+
+
+def test_range_work_limit_boundary(squares, squares_atlas):
+    # a value above B counts its digits plus (bits // 400)**2 units: 60,000
+    # digits and 199,316 bits make 60,000 + 498**2 = 308,004, and 487 such
+    # values fit in 1.5 * 10**8 units where 488 do not; nothing is visited
+    lo = 10**59999
+    assert 60000 + (lo.bit_length() // 400) ** 2 == 308004
+    certify.check_range_size(squares, lo, lo + 486)
+    message = ("the verification range holds 488 values above B of up to 60000 digits, "
+               "150305952 units of work, above the limit of 150000000")
+    with pytest.raises(TooLargeError) as refused:
+        verify_range(squares, squares_atlas, lo, lo + 487)
+    assert str(refused.value) == message
+    # values in [0, B] count once each, against MAX_VALUES alone
+    certify.check_range_size(squares, 0, MAX_VALUES - 1)
 
 
 def test_squares_atlas_contents(squares, squares_atlas):
@@ -429,7 +445,7 @@ def test_verify_range_fails_on_truncated_atlas(squares, squares_atlas):
 
 
 def test_validate_atlas_full(squares_atlas):
-    validate_atlas(squares_atlas, exhaustive=True)
+    validate_atlas(squares_atlas)
 
 
 def test_validate_atlas_catches_tampering(squares_atlas):

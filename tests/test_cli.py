@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import happygrid.certify as certify
 import happygrid.cli as cli
 import happygrid.dynamics as dynamics
 from happygrid.certify import (
@@ -361,6 +363,30 @@ def test_certify_json(capsys):
     ]
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# golden file name -> (certify options, exit code, stderr)
+GOLDEN_CERTIFY = {
+    "certify-10-2": ([], 0, ""),
+    "certify-2-1": (["--base", "2", "--exp", "1"], 0, ""),
+    "certify-max-steps-10": (["--max-steps", "10"], 1,
+                             "error: stage range-verification failed at 269\n"),
+    "certify-drop-attractor-4": (["--drop-attractor", "4"], 1,
+                                 "error: stage range-verification failed at 2\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CERTIFY))
+@pytest.mark.parametrize("suffix", ["txt", "json"])
+def test_certify_output_is_pinned(capsys, name, suffix):
+    # the whole record, byte for byte: stage and field order, and `failing`
+    # a decimal string in the range stages only
+    argv, code, err = GOLDEN_CERTIFY[name]
+    argv = ["certify", *argv] + ["--json"] * (suffix == "json")
+    expected = (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8")
+    assert run_cli(capsys, *argv) == (code, expected, err)
+
+
 def test_certify_detects_truncated_atlas(capsys):
     code, out, err = run_cli(
         capsys, "certify", "--base", "10", "--exp", "2", "--drop-attractor", "4"
@@ -417,6 +443,70 @@ def test_certify_refuses_a_large_bound_before_any_stage(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == ("error: a table of DigitSystem(base=1000000, exponent=1) over "
                    "[0, 999999999999] holds 1000000000000 values, above the limit of 10000000\n")
+
+
+def test_certify_range_work_limit_boundary(capsys, monkeypatch):
+    # squares: B = 999, and [990, 1049] holds 50 values above B of four
+    # digits, 4 units each; one more value is refused before any stage
+    monkeypatch.setattr(certify, "MAX_RANGE_WORK", 4 * 50)
+    code, out, _ = run_cli(capsys, "certify", "--lo", "990", "--hi", "1049", "--json")
+    assert code == 0 and json.loads(out)["stages"][3]["checked"] == 60
+
+    def never(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "threshold_inequality_check", never)
+    code, out, err = run_cli(capsys, "certify", "--lo", "990", "--hi", "1050")
+    assert (code, out) == (2, "")
+    assert err == ("error: the verification range holds 51 values above B of up to 4 digits, "
+                   "204 units of work, above the limit of 200\n")
+
+
+def test_certify_refuses_a_huge_range_above_the_bound(capsys, monkeypatch):
+    # 10**6 values of 60,000 digits would take hours; the refusal takes no stage
+    def never(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "threshold_inequality_check", never)
+    lo, hi = "1" + "0" * 59999, "1" + "0" * 59992 + "1000000"  # 10**59999 + 10**6
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "certify", "--lo", lo, "--hi", hi)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the verification range holds 1000001 values above B of "
+                          "up to 60000 digits")
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("command", ["traj", "classify", "happy", "attractors", "certify"])
+def test_digit_weight_limit(capsys, tmp_path, monkeypatch, command):
+    # 9 takes 4 bits, so exponent 8192 gives base 10 a weight of up to 2**15
+    # bits; one more is refused before the threshold scan or any cache use
+    def never(*args):
+        raise AssertionError("the threshold was scanned")
+
+    monkeypatch.setattr(certify, "digit_reduction_threshold", never)
+    monkeypatch.setattr(cli, "digit_reduction_threshold", never)
+    argv = [command] + ["1"] * (command in ("traj", "classify", "happy")) + ["--exp", "8193"]
+    if command in ("classify", "happy", "attractors"):
+        argv += ["--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *argv) == (2, "", "error: the digit weight (base - 1)**exponent "
+                                             "holds up to 32772 bits, above the limit of 32768\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_digit_weight_limit_boundary(capsys):
+    for base, exponent in [(10, 8192), (3, 16384), (65536, 2048)]:
+        code, out, _ = run_cli(capsys, "traj", "1", "--base", str(base), "--exp", str(exponent),
+                               "--json")
+        assert code == 0 and json.loads(out)["steps"] == ["1"]
+        code, out, err = run_cli(capsys, "traj", "1", "--base", str(base),
+                                 "--exp", str(exponent + 1))
+        assert code == 2 and out == "" and "above the limit of 32768" in err
+    # the first step from 5 would take minutes; the refusal, no time
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "traj", "5", "--exp", "100000", "--max-steps", "3")
+    assert code == 2 and "holds up to 400000 bits" in err
+    assert time.perf_counter() - start < 2.0
 
 
 def test_signed_options_keep_their_sign_and_message(capsys):
