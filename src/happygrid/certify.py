@@ -64,10 +64,17 @@ class TooLargeError(ValueError):
     """The work asked for exceeds a size limit; nothing was built."""
 
 
+def brief(n: int) -> str:
+    """n in decimal, or past 30 digits its digit count: a refusal stays one short line."""
+    if -10**30 < n < 10**30:
+        return str(n)
+    return f"{'-' * (n < 0)}<{digit_count(abs(n), DigitSystem(10, 1))} digits>"
+
+
 def check_size(count: int, what: str) -> None:
     """Refuse, before anything is allocated, work over more than MAX_VALUES values."""
     if count > MAX_VALUES:
-        raise TooLargeError(f"{what} holds {count} values, above the limit of {MAX_VALUES}")
+        raise TooLargeError(f"{what} holds {brief(count)} values, above the limit of {MAX_VALUES}")
 
 
 def check_range_size(sys: DigitSystem, lo: int, hi: int) -> None:
@@ -76,7 +83,7 @@ def check_range_size(sys: DigitSystem, lo: int, hi: int) -> None:
     The range holds at most MAX_VALUES values, and its values above B count
     at most MAX_RANGE_WORK units, each at the size of hi.
     """
-    check_size(hi - lo + 1, f"the verification range [{lo}, {hi}]")
+    check_size(hi - lo + 1, f"the verification range [{brief(lo)}, {brief(hi)}]")
     above = hi - max(lo, brute_bound(sys) + 1) + 1
     if above > 0:
         digits = digit_count(hi, sys)
@@ -90,7 +97,9 @@ def check_range_size(sys: DigitSystem, lo: int, hi: int) -> None:
 def check_bound_size(sys: DigitSystem) -> None:
     """Refuse, before any stage runs, to certify over [0, B] above MAX_VALUES values."""
     bound = brute_bound(sys)
-    check_size(bound + 1, f"a table of {sys} over [0, {bound}]")
+    # B = base**(p0 - 1) - 1 is named by that formula, short at any size
+    k = digit_count(bound, sys)
+    check_size(bound + 1, f"a table of {sys} over [0, {sys.base}**{k} - 1]")
 
 
 class _AtlasFields(NamedTuple):

@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -22,6 +23,7 @@ from .certify import (
     AttractorAtlas,
     CertificationError,
     TooLargeError,
+    brief,
     brute_bound,
     check_bound_size,
     check_range_size,
@@ -56,14 +58,15 @@ EXIT_USAGE = 2
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 
 # `grid verify --exhaustive` checks at most this many grids.  The 3^9 3x3
-# grids take 0.7 s (Python 3.11, 2-vCPU Xeon), so 10**6 of them take ~40 s.
+# grids take 0.6-0.7 s and the 10**6 1x3 grids over 100 values 19 s
+# (Python 3.11, 2-vCPU Xeon).
 MAX_EXHAUSTIVE_GRIDS = 10**6
 
 # `grid verify` checks at most this many cells in all, a cell counting once
 # per started block of 16 rows of its grid, since the bubble passes merge a
 # column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
-# are 1x1 grids and single tall columns: 3*10**6 1x1 grids take 48 s and
-# one 6928x1 grid 35 s (Python 3.11, 2-vCPU Xeon), so the largest request
+# are 1x1 grids and single tall columns: 3*10**6 1x1 grids take 53-61 s and
+# one 6928x1 grid 44-49 s (Python 3.11, 2-vCPU Xeon), so the largest request
 # allowed takes about a minute.
 MAX_GRID_CELLS = 3 * 10**6
 
@@ -71,7 +74,7 @@ MAX_GRID_CELLS = 3 * 10**6
 # the largest grid, not with the cells in all: the verify path holds several
 # tuple copies of a grid, and single rows cost most, since each column
 # becomes a tuple of its own.  One 1x(10**5) grid peaks at 35 MB against
-# 16 MB for a 1x1 grid, about 195 bytes a cell, and 1x(5*10**5) at 113 MB
+# 16 MB for a 1x1 grid, about 195 bytes a cell, and 1x(5*10**5) at 117 MB
 # (Python 3.11, 2-vCPU Xeon).
 MAX_CELLS_PER_GRID = 10**5
 
@@ -152,8 +155,35 @@ positive_arg = int_at_least(1, "expected a positive integer")
 # --------------------------- canonical structured output -------------------
 
 def dumps_canonical(record: dict) -> str:
-    """One canonical JSON record: sorted keys, two-space indent, newline."""
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    """One canonical JSON record: sorted keys, two-space indent, newline.
+
+    Byte for byte json.dumps(record, sort_keys=True, indent=2) + "\\n", joined
+    from strings instead of run through the stdlib's pure-Python encoder.
+    """
+    return _render(record, "\n") + "\n"
+
+
+def _render(value, newline: str) -> str:
+    """One value of a canonical record; newline ends a line at its depth."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    inner = newline + "  "
+    if kind is dict and value and all(type(key) is str for key in value):
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key) + ": " + _render(item, inner)
+            for key, item in sorted(value.items())) + newline + "}"
+    if (kind is list or kind is tuple) and value:
+        items = (map(repr, value) if set(map(type, value)) == {int}
+                 else (_render(item, inner) for item in value))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    # floats, empty containers, other keys and types: the stdlib, indented to
+    # this depth (a JSON string holds no raw newline)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def cycle_record(cycle: Cycle) -> dict:
@@ -392,16 +422,17 @@ def _range_stage(name: str, atlas: AttractorAtlas, lo: int, hi: int,
 
 def cmd_certify(args) -> int:
     if args.p_max > MAX_P_MAX:
-        raise TooLargeError(f"--p-max {args.p_max} is above the limit of {MAX_P_MAX}")
+        raise TooLargeError(f"--p-max {brief(args.p_max)} is above the limit of {MAX_P_MAX}")
     system = _digit_system(args)
     p_max = max(args.p_max, digit_reduction_threshold(system))
     lo = args.lo if args.lo is not None else 0
     hi = args.hi if args.hi is not None else brute_bound(system)
     if lo > hi:
-        print(f"error: empty verification range [{lo}, {hi}]", file=sys.stderr)
+        print(f"error: empty verification range [{brief(lo)}, {brief(hi)}]", file=sys.stderr)
         return EXIT_USAGE
-    check_range_size(system, lo, hi)
+    # the bound first: with the default --hi, the range is [0, B] itself
     check_bound_size(system)
+    check_range_size(system, lo, hi)
 
     stages = [_stage("threshold-inequality", threshold_inequality_check(system, p_max))]
     invariance = forward_invariance_scan(system)
@@ -521,29 +552,30 @@ def _check_grid(grid: Grid) -> str | None:
 
 def cmd_grid_verify(args) -> int:
     cells = args.rows * args.cols
+    shape = f"{brief(args.rows)}x{brief(args.cols)}"
     if args.exhaustive:
         # An alphabet of 2 or more exceeds the cap once cells reaches the
         # cap's bit length, so the power is never taken further than that.
         grids = args.alphabet ** min(cells, MAX_EXHAUSTIVE_GRIDS.bit_length())
         if grids > MAX_EXHAUSTIVE_GRIDS:
-            raise TooLargeError(f"{args.alphabet}^{cells} grids of shape {args.rows}x{args.cols} "
+            raise TooLargeError(f"{brief(args.alphabet)}^{brief(cells)} grids of shape {shape} "
                                 f"exceed the limit of {MAX_EXHAUSTIVE_GRIDS}")
     elif args.min > args.max:
-        print(f"error: empty value range [{args.min}, {args.max}]", file=sys.stderr)
+        print(f"error: empty value range [{brief(args.min)}, {brief(args.max)}]", file=sys.stderr)
         return EXIT_USAGE
     elif args.max - args.min + 1 > MAX_DRAWN_VALUES:
-        raise TooLargeError(f"value range [{args.min}, {args.max}] holds "
-                            f"{args.max - args.min + 1} values, above the limit of "
+        raise TooLargeError(f"value range [{brief(args.min)}, {brief(args.max)}] holds "
+                            f"{brief(args.max - args.min + 1)} values, above the limit of "
                             f"{MAX_DRAWN_VALUES}")
     else:
         grids = args.trials
     counted = grids * cells * -(-args.rows // 16)
     if counted > MAX_GRID_CELLS:
-        raise TooLargeError(f"{grids} grids of shape {args.rows}x{args.cols} count {counted} "
+        raise TooLargeError(f"{brief(grids)} grids of shape {shape} count {brief(counted)} "
                             f"cells, above the limit of {MAX_GRID_CELLS} (a cell counts once "
                             "per 16 rows)")
     if cells > MAX_CELLS_PER_GRID:
-        raise TooLargeError(f"a grid of shape {args.rows}x{args.cols} holds {cells} cells, "
+        raise TooLargeError(f"a grid of shape {shape} holds {brief(cells)} cells, "
                             f"above the limit of {MAX_CELLS_PER_GRID} per grid")
 
     # each grid's cells in row-major order: every grid over the alphabet, or random draws
@@ -555,7 +587,7 @@ def cmd_grid_verify(args) -> int:
         generated = (rng.choices(values, k=cells) for _ in range(args.trials))
     checked = 0
     for flat in generated:
-        grid = Grid.from_rows(flat[i * args.cols:(i + 1) * args.cols] for i in range(args.rows))
+        grid = Grid(tuple(zip(*[iter(flat)] * args.cols)))
         problem = _check_grid(grid)
         if problem is not None:
             return _grid_report(args, checked, grid, problem)

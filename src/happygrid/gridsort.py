@@ -10,7 +10,8 @@ one after the second, and so on for n - 1 passes).
 from __future__ import annotations
 
 import re
-from itertools import pairwise
+from itertools import islice, pairwise
+from operator import le
 from typing import Iterator, NamedTuple
 
 
@@ -36,9 +37,9 @@ class Grid(_GridFields):
         if not entries or not entries[0]:
             raise ValueError("a grid has at least one row and one column")
         width = len(entries[0])
-        for i, row in enumerate(entries):
-            if len(row) != width:
-                raise ValueError(f"ragged grid: row {i} has {len(row)} entries, expected {width}")
+        if not all(map(width.__eq__, map(len, entries))):
+            i, row = next((i, row) for i, row in enumerate(entries) if len(row) != width)
+            raise ValueError(f"ragged grid: row {i} has {len(row)} entries, expected {width}")
         return super().__new__(cls, entries)
 
     @property
@@ -100,21 +101,22 @@ def format_grid(g: Grid) -> str:
 
 def sort_rows(g: Grid) -> Grid:
     """Each row rearranged nondecreasing left to right."""
-    return Grid(tuple(tuple(sorted(row)) for row in g.entries))
+    return Grid(tuple(map(tuple, map(sorted, g.entries))))
 
 
 def sort_cols(g: Grid) -> Grid:
     """Each column rearranged nondecreasing top to bottom."""
-    sorted_cols = (sorted(col) for col in zip(*g.entries))
-    return Grid(tuple(zip(*sorted_cols)))
+    return Grid(tuple(zip(*map(sorted, zip(*g.entries)))))
 
 
 def is_rows_sorted(g: Grid) -> bool:
-    return all(a <= b for row in g.entries for a, b in pairwise(row))
+    # each entry against its right-hand neighbour
+    return all(all(map(le, row, islice(row, 1, None))) for row in g.entries)
 
 
 def is_cols_sorted(g: Grid) -> bool:
-    return all(a <= b for col in zip(*g.entries) for a, b in pairwise(col))
+    # each entry against the one below it, a row pair at a time: no transpose
+    return all(all(map(le, upper, lower)) for upper, lower in pairwise(g.entries))
 
 
 def two_row_minmax(top, bottom) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -127,7 +129,8 @@ def two_row_minmax(top, bottom) -> tuple[tuple[int, ...], tuple[int, ...]]:
     top, bottom = tuple(top), tuple(bottom)
     if len(top) != len(bottom):
         raise ValueError(f"row length mismatch: {len(top)} vs {len(bottom)}")
-    return tuple(map(min, top, bottom)), tuple(map(max, top, bottom))
+    # one comparison per column and no builtin call; zip(*) splits the sorted pairs
+    return tuple(zip(*[(t, u) if t <= u else (u, t) for t, u in zip(top, bottom)])) or ((), ())
 
 
 def column_maxima(g: Grid) -> tuple[int, ...]:

@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import happygrid.certify as certify
 import happygrid.cli as cli
@@ -36,6 +38,37 @@ def run_cli(capsys, *argv):
 
 def canonical(text: str) -> str:
     return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(-10**5000, 10**5000) | st.floats() | st.text())
+json_records = st.dictionaries(st.text(), st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40))
+
+
+@given(record=json_records)
+def test_dumps_canonical_is_the_stdlib_layout(record):
+    # keys with non-ASCII and control characters, bools, 5,000-digit ints,
+    # floats and empty containers at any depth; cli.main lifts the
+    # int-to-str digit limit before anything is rendered, and so does this
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(max(limit, 10_000))
+        expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        assert cli.dumps_canonical(record) == expected
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_dumps_canonical_edge_values():
+    record = {"é\n\x00": [[], {}, (), [1, True, None], [-0.0, float("nan"), float("inf")]],
+              "ints": {1: [2, 3], 4: {"x": []}}, "": {"": ""}}
+    assert cli.dumps_canonical(record) == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 def test_traj_cycle(capsys):
@@ -387,6 +420,25 @@ def test_certify_output_is_pinned(capsys, name, suffix):
     assert run_cli(capsys, *argv) == (code, expected, err)
 
 
+# golden file name -> grid command; each is pinned as text and with --json
+GOLDEN_GRID = {
+    **{f"grid-sort-{mode}": ["grid", "sort", "--mode", mode]
+       for mode in ("rows", "cols", "both", "bubble")},
+    "grid-sort-bubble-trace": ["grid", "sort", "--mode", "bubble", "--trace"],
+    "grid-verify-random-42": ["grid", "verify", "--seed", "42"],
+    "grid-verify-exhaustive-2x2": ["grid", "verify", "--exhaustive", "--rows", "2", "--cols", "2"],
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_GRID))
+@pytest.mark.parametrize("suffix", ["txt", "json"])
+def test_grid_output_is_pinned(capsys, monkeypatch, name, suffix):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED_GRID))
+    argv = GOLDEN_GRID[name] + ["--json"] * (suffix == "json")
+    expected = (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8")
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 def test_certify_detects_truncated_atlas(capsys):
     code, out, err = run_cli(
         capsys, "certify", "--base", "10", "--exp", "2", "--drop-attractor", "4"
@@ -442,7 +494,34 @@ def test_certify_refuses_a_large_bound_before_any_stage(capsys, monkeypatch):
                              "--lo", "0", "--hi", "10", "--p-max", "10000")
     assert code == 2 and out == ""
     assert err == ("error: a table of DigitSystem(base=1000000, exponent=1) over "
-                   "[0, 999999999999] holds 1000000000000 values, above the limit of 10000000\n")
+                   "[0, 1000000**2 - 1] holds 1000000000000 values, above the limit of 10000000\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    # B is named by its formula and B + 1 by its digit count, not in full
+    (["certify", "--exp", "8192"],
+     "error: a table of DigitSystem(base=10, exponent=8192) over [0, 10**7822 - 1] "
+     "holds <7823 digits> values, above the limit of 10000000\n"),
+    (["classify", "5", "--exp", "8192"],
+     "error: a table of DigitSystem(base=10, exponent=8192) over [0, 10**7822 - 1] "
+     "holds <7823 digits> values, above the limit of 10000000\n"),
+    (["certify", "--lo", "0", "--hi", "9" * 30],
+     f"error: the verification range [0, {'9' * 30}] holds <31 digits> values, "
+     "above the limit of 10000000\n"),
+    (["certify", "--lo", "1" + "0" * 60000, "--hi", "3"],
+     "error: empty verification range [<60001 digits>, 3]\n"),
+    (["certify", "--p-max", "7" * 31], "error: --p-max <31 digits> is above the limit of 10000\n"),
+    (["grid", "verify", "--min", "-" + "1" * 40, "--max", "2" * 40],
+     "error: value range [-<40 digits>, <40 digits>] holds <40 digits> values, "
+     "above the limit of 9007199254740992\n"),
+    (["grid", "verify", "--rows", "5" * 40, "--trials", "1"],
+     "error: 1 grids of shape <40 digits>x3 count <79 digits> cells, above the limit of "
+     "3000000 (a cell counts once per 16 rows)\n"),
+], ids=lambda value: " ".join(value)[:40] if isinstance(value, list) else "")
+def test_refusals_show_long_numbers_by_digit_count(capsys, tmp_path, argv, err):
+    if argv[0] == "classify":
+        argv = argv + ["--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *argv) == (2, "", err)
 
 
 def test_certify_range_work_limit_boundary(capsys, monkeypatch):

@@ -1,9 +1,11 @@
 from collections import Counter
+from itertools import pairwise
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import happygrid.gridsort as gridsort
 from happygrid import (
     Grid,
     GridParseError,
@@ -105,6 +107,73 @@ def test_two_row_minmax_example():
     assert two_row_minmax(row, row) == (row, row)
     with pytest.raises(ValueError, match="length mismatch"):
         two_row_minmax((1, 2), (1, 2, 3))
+
+
+# ties are likely among small values; big ints cross the machine-word size
+entry_values = st.integers(-3, 3) | st.integers(-2**70, 2**70)
+row_pairs = st.integers(1, 9).flatmap(lambda p: st.tuples(
+    st.lists(entry_values, min_size=p, max_size=p),
+    st.lists(entry_values, min_size=p, max_size=p)))
+
+
+@given(pair=row_pairs, form=st.sampled_from([tuple, list, iter]))
+def test_two_row_minmax_is_columnwise_min_and_max(pair, form):
+    top, bottom = pair
+    expected = tuple(map(min, top, bottom)), tuple(map(max, top, bottom))
+    assert two_row_minmax(form(top), form(bottom)) == expected
+
+
+@given(top=st.lists(entry_values, max_size=5), bottom=st.lists(entry_values, max_size=5))
+def test_two_row_minmax_length_mismatch(top, bottom):
+    assume(len(top) != len(bottom))
+    with pytest.raises(ValueError) as mismatch:
+        two_row_minmax(iter(top), iter(bottom))
+    assert str(mismatch.value) == f"row length mismatch: {len(top)} vs {len(bottom)}"
+
+
+def test_two_row_minmax_of_empty_rows():
+    assert two_row_minmax((), iter([])) == ((), ())
+
+
+def _lines_sorted_reference(lines):
+    return all(a <= b for line in lines for a, b in pairwise(line))
+
+
+@given(g=grids(lo=-3, hi=3) | grids(max_rows=1) | grids(max_cols=1))
+def test_sortedness_checks_compare_neighbours(g):
+    # 1 x p and n x 1 grids included: a line of one entry is sorted
+    assert is_rows_sorted(g) == _lines_sorted_reference(g.entries)
+    assert is_cols_sorted(g) == _lines_sorted_reference(zip(*g.entries))
+    assert is_rows_sorted(sort_rows(g)) and is_cols_sorted(sort_cols(g))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [3]], "ragged grid: row 1 has 1 entries, expected 2"),
+    ([[1], [2], [3, 4], [5, 6, 7]], "ragged grid: row 2 has 2 entries, expected 1"),
+    ([[1, 2, 3], [4, 5, 6], []], "ragged grid: row 2 has 0 entries, expected 3"),
+])
+def test_ragged_grid_names_the_first_bad_row(rows, message):
+    with pytest.raises(ValueError) as ragged:
+        Grid.from_rows(rows)
+    assert str(ragged.value) == message
+
+
+@given(g=grids())
+def test_bubble_makes_n_choose_2_merges(g):
+    calls = []
+    merge = gridsort.two_row_minmax
+
+    def counted(top, bottom):
+        calls.append(1)
+        return merge(top, bottom)
+
+    gridsort.two_row_minmax = counted
+    try:
+        _, passes = bubble_column_sort(g)
+    finally:
+        gridsort.two_row_minmax = merge
+    n = g.rows
+    assert len(calls) == n * (n - 1) // 2 and passes == n - 1
 
 
 @given(pair=sorted_row_pairs)
