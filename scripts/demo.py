@@ -18,7 +18,6 @@ from happygrid import (
     enumerate_attractors,
     format_grid,
     is_rows_sorted,
-    repunit,
     sort_cols,
     sort_rows,
     step_until_repeat,
@@ -58,7 +57,7 @@ def squares_walkthrough() -> None:
     print(f"  ... reaches {list(traj.terminal.members)} "
           f"after a transient of {traj.transient_length} steps")
 
-    ones = repunit(60, squares)
+    ones = (10**60 - 1) // 9
     print(f"\nrepunit with 60 ones maps straight to "
           f"{step_until_repeat(ones, squares, 1000).steps[1]}")
 

@@ -30,13 +30,9 @@ from .certify import (
 )
 from .digitmap import (
     DigitSystem,
-    DigitVector,
     as_natural,
     digit_count,
     digit_power_sum,
-    from_digits,
-    repunit,
-    to_digits,
 )
 from .dynamics import (
     BudgetExceededError,
@@ -44,14 +40,12 @@ from .dynamics import (
     Trajectory,
     canonicalize_cycle,
     classify,
-    is_happy,
     step_until_repeat,
 )
 from .gridsort import (
     Grid,
     GridParseError,
     bubble_column_sort,
-    column_maxima,
     format_grid,
     is_cols_sorted,
     is_rows_sorted,
@@ -68,7 +62,6 @@ __all__ = [
     "CertificationError",
     "Cycle",
     "DigitSystem",
-    "DigitVector",
     "Grid",
     "GridParseError",
     "TooLargeError",
@@ -78,7 +71,6 @@ __all__ = [
     "bubble_column_sort",
     "canonicalize_cycle",
     "classify",
-    "column_maxima",
     "default_step_budget",
     "digit_count",
     "digit_power_sum",
@@ -86,18 +78,14 @@ __all__ = [
     "enumerate_attractors",
     "format_grid",
     "forward_invariance_scan",
-    "from_digits",
     "is_cols_sorted",
-    "is_happy",
     "is_rows_sorted",
     "parse_grid",
-    "repunit",
     "sort_cols",
     "sort_rows",
     "step_until_repeat",
     "three_digit_identity_check",
     "threshold_inequality_check",
-    "to_digits",
     "trace_bubble",
     "two_row_minmax",
     "validate_atlas",

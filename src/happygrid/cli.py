@@ -500,7 +500,7 @@ def cmd_grid_sort(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    record: dict = {"mode": args.mode, "input": [list(r) for r in grid.entries]}
+    record: dict = {"mode": args.mode, "input": grid.entries}
     merges: list = []
     if args.mode == "rows":
         outputs = [sort_rows(grid)]
@@ -509,14 +509,14 @@ def cmd_grid_sort(args) -> int:
     elif args.mode == "both":
         rows_sorted = sort_rows(grid)
         outputs = [rows_sorted, sort_cols(rows_sorted)]
-        record["rows_sorted"] = [list(r) for r in rows_sorted.entries]
+        record["rows_sorted"] = rows_sorted.entries
     elif args.trace:
         merges = list(trace_bubble(grid))
         outputs = [merges[-1].grid if merges else grid]
         record["trace"] = [{
             "pass": step.pass_no,
             "top_row": step.top_row,
-            "grid": [list(r) for r in step.grid.entries],
+            "grid": step.grid.entries,
         } for step in merges]
     else:
         outputs = [bubble_column_sort(grid)[0]]
@@ -609,7 +609,7 @@ def _grid_report(args, checked: int, grid: Grid | None = None,
             "counterexample": None if grid is None else {
                 "index": checked,
                 "problem": problem,
-                "grid": [list(r) for r in grid.entries],
+                "grid": grid.entries,
             },
         }), end="")
     elif grid is None:

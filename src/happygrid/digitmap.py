@@ -1,8 +1,5 @@
-"""Base-b digit decomposition and the generalized digit-power-sum map.
-
-Digit vectors are tuples of ints, least-significant digit first.  The
-canonical vector of 0 is the empty tuple, so nothing downstream ever has
-to strip leading zeros; the power sum of an empty vector is 0.
+"""Base-b digit counts and the generalized digit-power-sum map, which sends
+n to the sum of the e-th powers of its base-b digits (0, with none, to 0).
 """
 
 from __future__ import annotations
@@ -10,8 +7,6 @@ from __future__ import annotations
 import math
 import operator
 from typing import NamedTuple
-
-DigitVector = tuple[int, ...]
 
 # digit_power_sum loops over the digits of values of up to 1024 bits, where
 # the loop is at least as fast as a split, and splits larger values with
@@ -53,36 +48,6 @@ def as_natural(value) -> int:
     if n < 0:
         raise ValueError(f"expected a nonnegative integer, got {n}")
     return n
-
-
-def to_digits(n: int, sys: DigitSystem) -> DigitVector:
-    """Decompose n in the system's base, least-significant digit first.
-
-    Extraction is by repeated division so every base >= 2 is first-class;
-    no string formatting is involved.
-    """
-    n = as_natural(n)
-    digits = []
-    while n:
-        n, d = divmod(n, sys.base)
-        digits.append(d)
-    return tuple(digits)
-
-
-def from_digits(digits, sys: DigitSystem) -> int:
-    """Recompose a digit vector (least-significant first) into its value.
-
-    Trailing most-significant zeros are allowed on input; the result
-    re-decomposes to the canonical (zero-free) vector.
-    """
-    digits = tuple(digits)
-    for i, d in enumerate(digits):
-        if not 0 <= d < sys.base:
-            raise ValueError(f"digit {d} at index {i} out of range [0, {sys.base - 1}]")
-    value = 0
-    for d in reversed(digits):
-        value = value * sys.base + d
-    return value
 
 
 def digit_count(n: int, sys: DigitSystem) -> int:
@@ -155,13 +120,3 @@ def _chunks(n: int, base: int):
         else:
             hi, lo = divmod(n, powers[level])
             stack += ((hi, level - 1), (lo, level - 1))
-
-
-def repunit(p: int, sys: DigitSystem) -> int:
-    """The number written with p digits equal to 1; repunit(0) is 0.
-
-    Since 1**e = 1 for every exponent, digit_power_sum(repunit(p)) == p,
-    which witnesses surjectivity of the map.
-    """
-    p = as_natural(p)
-    return (sys.base**p - 1) // (sys.base - 1)

@@ -58,12 +58,11 @@ class Cycle(NamedTuple):
 class Trajectory(NamedTuple):
     """An orbit up to (not including) its first repeated value.
 
-    `steps` lists every distinct orbit value in order, starting at
-    `start`; `entry_index` points at the first step that belongs to the
-    terminal cycle.
+    `steps` lists every distinct orbit value in order, the start first;
+    `entry_index` points at the first step that belongs to the terminal
+    cycle.
     """
 
-    start: int
     steps: tuple[int, ...]
     entry_index: int
     terminal: Cycle
@@ -112,7 +111,6 @@ def step_until_repeat(n: int, sys: DigitSystem, max_steps: int) -> Trajectory:
         hit = first_seen.get(current)
         if hit is not None:
             return Trajectory(
-                start=n,
                 steps=tuple(steps),
                 entry_index=hit,
                 terminal=canonicalize_cycle(steps[hit:], sys),
@@ -164,8 +162,3 @@ def classify(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> Cycle:
             f"{sys} is inconsistent (implementation bug)"
         )
     return attractor
-
-
-def is_happy(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> bool:
-    """True iff the orbit of n ends at the fixed point 1."""
-    return classify(n, sys, atlas).members == (1,)

@@ -10,6 +10,7 @@ one after the second, and so on for n - 1 passes).
 from __future__ import annotations
 
 import re
+import sys
 from itertools import islice, pairwise
 from operator import le
 from typing import Iterator, NamedTuple
@@ -80,7 +81,12 @@ def parse_grid(text: str) -> Grid:
         for token, column in tokens:
             if not _INTEGER.fullmatch(token):
                 raise GridParseError(f"not a decimal integer: {token!r}", lineno, column)
-            row.append(int(token))
+            try:
+                row.append(int(token))
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise GridParseError(f"integer has {len(token.lstrip('+-'))} digits, above "
+                                     f"the limit of {sys.get_int_max_str_digits()}",
+                                     lineno, column) from None
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -131,11 +137,6 @@ def two_row_minmax(top, bottom) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise ValueError(f"row length mismatch: {len(top)} vs {len(bottom)}")
     # one comparison per column and no builtin call; zip(*) splits the sorted pairs
     return tuple(zip(*[(t, u) if t <= u else (u, t) for t, u in zip(top, bottom)])) or ((), ())
-
-
-def column_maxima(g: Grid) -> tuple[int, ...]:
-    """The largest entry of each column."""
-    return tuple(map(max, *g.entries)) if g.rows > 1 else g.entries[0]
 
 
 def _bubble_passes(rows: list) -> Iterator[tuple[int, int]]:

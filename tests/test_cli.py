@@ -1,9 +1,12 @@
+import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -677,6 +680,35 @@ def test_grid_sort_parse_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "grid", "sort", str(bad))
     assert code == 2
     assert "line 2, column 3" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the int-string digit limit came with Python 3.11")
+def test_grid_sort_over_long_entry_exits_2(capsys, tmp_path):
+    # cli.main lifts the limit to MAX_START_DIGITS; a longer entry is a parse error
+    long_entry = tmp_path / "long.txt"
+    long_entry.write_text("1" * 260_000 + " 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "grid", "sort", str(long_entry))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1, column 1: integer has 260000 digits, above the limit")
+
+
+def test_text_trace_keeps_no_copies_of_its_snapshots(tmp_path):
+    # the snapshots share the rows a merge leaves alone, about 1.3 MiB here; a
+    # list copy of each snapshot, which text output never reads, took 12.8 MiB
+    rng = random.Random(40)
+    grid_file = tmp_path / "g40.txt"
+    grid_file.write_text("\n".join(" ".join(str(rng.randint(-1000, 1000)) for _ in range(40))
+                                   for _ in range(40)) + "\n", encoding="utf-8")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["grid", "sort", str(grid_file), "--mode", "bubble", "--trace"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_grid_sort_missing_file(capsys, tmp_path):

@@ -9,7 +9,6 @@ from happygrid import (
     canonicalize_cycle,
     classify,
     digit_power_sum,
-    is_happy,
     step_until_repeat,
 )
 
@@ -115,10 +114,9 @@ def test_classify_requires_matching_system(squares_atlas, cubes):
 
 
 def test_is_happy_examples(squares, squares_atlas):
-    assert is_happy(1, squares, squares_atlas)
-    assert not is_happy(4, squares, squares_atlas)
-    assert is_happy(13, squares, squares_atlas)  # 13 -> 10 -> 1
-    assert is_happy(7, squares, squares_atlas)
+    # n is happy when its orbit ends at the fixed point 1
+    happy = [n for n in (1, 4, 13, 7) if classify(n, squares, squares_atlas).members == (1,)]
+    assert happy == [1, 13, 7]  # 13 -> 10 -> 1; 4 is on the eight-cycle
 
 
 def test_first_hundred_split_across_the_three_attractors(squares, squares_atlas):

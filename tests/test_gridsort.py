@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import pairwise
 
@@ -10,7 +11,6 @@ from happygrid import (
     Grid,
     GridParseError,
     bubble_column_sort,
-    column_maxima,
     format_grid,
     is_cols_sorted,
     is_rows_sorted,
@@ -204,7 +204,7 @@ def test_merges_keep_rows_sorted(g):
 
 @given(g=grids(max_rows=6, max_cols=6))
 def test_last_row_fixed_after_first_pass(g):
-    maxima = column_maxima(g)
+    maxima = tuple(map(max, zip(*g.entries)))  # one row: the row itself
     for step in trace_bubble(g):
         if step.pass_no == 1 and step.top_row == g.rows - 2:
             assert step.grid.entries[-1] == maxima
@@ -260,3 +260,21 @@ def test_parse_errors_name_line_and_column():
         parse_grid("1 2\n3 4.5\n")
     with pytest.raises(GridParseError, match="not a decimal integer"):
         parse_grid("1_0 2\n3 4\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the int-string digit limit came with Python 3.11")
+def test_parse_refuses_entries_past_the_int_string_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert parse_grid("1" * 1000 + " 2").entries == ((int("1" * 1000), 2),)
+        with pytest.raises(GridParseError, match="1001 digits, above the limit of 1000") as first:
+            parse_grid("1" * 1001 + " 2")
+        assert (first.value.line, first.value.column) == (1, 1)
+        # a sign and leading zeros: the limit counts every digit of the token
+        with pytest.raises(GridParseError, match="1001 digits") as signed:
+            parse_grid("1 2\n3 -" + "0" * 1000 + "1\n")
+        assert (signed.value.line, signed.value.column) == (2, 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
