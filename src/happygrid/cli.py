@@ -58,16 +58,16 @@ EXIT_USAGE = 2
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 
 # `grid verify --exhaustive` checks at most this many grids.  The 3^9 3x3
-# grids take 0.6-0.7 s and the 10**6 1x3 grids over 100 values 19 s
+# grids take 0.2-0.3 s and the 10**6 1x3 grids over 100 values 3.9-4.4 s
 # (Python 3.11, 2-vCPU Xeon).
 MAX_EXHAUSTIVE_GRIDS = 10**6
 
 # `grid verify` checks at most this many cells in all, a cell counting once
 # per started block of 16 rows of its grid, since the bubble passes merge a
-# column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
-# are 1x1 grids and single tall columns: 3*10**6 1x1 grids take 53-61 s and
-# one 6928x1 grid 44-49 s (Python 3.11, 2-vCPU Xeon), so the largest request
-# allowed takes about a minute.
+# column of n rows n(n-1)/2 times.  The costliest shape per counted cell is
+# a single tall column: one 6928x1 grid takes 40-49 s, while 3*10**6 1x1
+# grids, checked in blocks, take 10-11 s (Python 3.11, 2-vCPU Xeon), so the
+# largest request allowed takes under a minute.
 MAX_GRID_CELLS = 3 * 10**6
 
 # `grid verify` checks no grid of more cells than this.  Memory grows with
@@ -77,6 +77,14 @@ MAX_GRID_CELLS = 3 * 10**6
 # 16 MB for a 1x1 grid, about 195 bytes a cell, and 1x(5*10**5) at 117 MB
 # (Python 3.11, 2-vCPU Xeon).
 MAX_CELLS_PER_GRID = 10**5
+
+# `grid verify` checks grids in blocks of about this many cells, a few kernel
+# calls a block (see _block_passes).  Larger blocks spread each call's fixed
+# cost over more grids but keep more objects alive for the garbage collector
+# to scan.  An 8x8 grid costs 110 us alone, 55 us in blocks of 2048 cells and
+# 92 us in blocks of 8192, and a 3x3 grid 20, 7 and 9 us (medians of seven
+# in-process runs; Python 3.11, 2-vCPU Xeon).
+BLOCK_CELLS = 2048
 
 # `certify --p-max` scans the threshold inequality at most this far.  The
 # scan multiplies a running base**(p - 1) by the base once per p, so it grows
@@ -585,14 +593,52 @@ def cmd_grid_verify(args) -> int:
         rng = random.Random(args.seed)
         values = range(args.min, args.max + 1)
         generated = (rng.choices(values, k=cells) for _ in range(args.trials))
-    checked = 0
-    for flat in generated:
-        grid = Grid(tuple(zip(*[iter(flat)] * args.cols)))
-        problem = _check_grid(grid)
-        if problem is not None:
-            return _grid_report(args, checked, grid, problem)
-        checked += 1
+    rows, cols, checked = args.rows, args.cols, 0
+    per_block = max(1, BLOCK_CELLS // cells)
+    # the rows of a block's grids, stacked top to bottom
+    while stacked := tuple(zip(*[itertools.chain.from_iterable(
+            itertools.islice(generated, per_block))] * cols)):
+        # The first grid alone keeps the requested width under test, the rest
+        # go as one wide grid; a failing block is checked again grid by grid.
+        count = len(stacked) // rows
+        if _check_grid(Grid(stacked[:rows])) is None and _block_passes(stacked[rows:], rows):
+            checked += count
+            continue
+        for top in range(0, len(stacked), rows):
+            grid = Grid(stacked[top:top + rows])
+            problem = _check_grid(grid)
+            if problem is not None:
+                return _grid_report(args, checked, grid, problem)
+            checked += 1
+        print(f"error: grids {checked - count} to {checked - 1} fail as one block but "
+              "pass one by one: the kernels let separate grids interact", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     return _grid_report(args, checked)
+
+
+def _side_by_side(stacked: tuple, rows: int) -> Grid:
+    # row i of the wide grid holds row i of every grid, left to right
+    return Grid(tuple(tuple(itertools.chain.from_iterable(stacked[i::rows]))
+                      for i in range(rows)))
+
+
+def _block_passes(stacked: tuple, rows: int) -> bool:
+    """_check_grid on the grids of a block at once; True for no grids.
+
+    Rows never interact in a row sort, so the grids' rows are sorted stacked
+    top to bottom.  Columns never interact in a column sort or a bubble pass,
+    so those run on the grids laid side by side.
+    """
+    if not stacked:
+        return True
+    wide = _side_by_side(stacked, rows)
+    final = sort_cols(_side_by_side(sort_rows(Grid(stacked)).entries, rows))
+    cols = len(stacked[0])
+    restacked = Grid(tuple(itertools.chain.from_iterable(
+        zip(*[iter(row)] * cols) for row in final.entries)))
+    bubbled, passes = bubble_column_sort(wide)
+    return (is_rows_sorted(restacked) and is_cols_sorted(final)
+            and bubbled == sort_cols(wide) and passes == rows - 1)
 
 
 def _grid_report(args, checked: int, grid: Grid | None = None,
@@ -734,10 +780,18 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), MAX_START_DIGITS))
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
+        return code
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader left early (`| head`).  Send what is still buffered to
+        # devnull, so the final flush cannot raise again, and exit 1 as the
+        # interpreter does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

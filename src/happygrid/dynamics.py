@@ -18,18 +18,14 @@ if TYPE_CHECKING:
 
 
 class BudgetExceededError(RuntimeError):
-    """No repeat within the step budget; carries the partial orbit.
+    """No repeat within the step budget.
 
     Termination is mathematically guaranteed for every start value, so
     raising this only means the caller's budget was too small.
     """
 
-    def __init__(self, start: int, partial: tuple[int, ...]):
-        super().__init__(
-            f"orbit of {start} did not repeat within {len(partial) - 1} steps"
-        )
-        self.start = start
-        self.partial = partial
+    def __init__(self, start: int, steps: int):
+        super().__init__(f"orbit of {start} did not repeat within {steps} steps")
 
 
 class Cycle(NamedTuple):
@@ -117,7 +113,7 @@ def step_until_repeat(n: int, sys: DigitSystem, max_steps: int) -> Trajectory:
             )
         first_seen[current] = len(steps)
         steps.append(current)
-    raise BudgetExceededError(n, tuple(steps))
+    raise BudgetExceededError(n, max_steps)
 
 
 def _certified_budget(n: int, sys: DigitSystem, atlas: AttractorAtlas) -> int:

@@ -80,7 +80,9 @@ def parse_grid(text: str) -> Grid:
         row = []
         for token, column in tokens:
             if not _INTEGER.fullmatch(token):
-                raise GridParseError(f"not a decimal integer: {token!r}", lineno, column)
+                # a long token by its length: the error stays one short line
+                shown = repr(token) if len(token) <= 30 else f"<{len(token)} characters>"
+                raise GridParseError(f"not a decimal integer: {shown}", lineno, column)
             try:
                 row.append(int(token))
             except ValueError:  # longer than the interpreter's int-string limit

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -24,6 +25,7 @@ from happygrid.certify import (
 from happygrid.cli import main
 from happygrid.digitmap import DigitSystem
 from happygrid.dynamics import classify, step_until_repeat
+from happygrid.gridsort import Grid, format_grid
 
 WORKED_GRID = "1 8 3 4 8\n0 9 2 7 14\n20 3 6 7 7\n"
 WORKED_BOTH = (
@@ -693,6 +695,29 @@ def test_grid_sort_over_long_entry_exits_2(capsys, tmp_path):
     assert err.startswith("error: line 1, column 1: integer has 260000 digits, above the limit")
 
 
+def test_output_into_a_pipe_closed_early_exits_1_quietly(tmp_path):
+    # `grid sort --mode bubble --trace | head -3`: the reader leaves after
+    # three lines, while a 40x40 trace prints about 5 MB
+    rng = random.Random(40)
+    grid_file = tmp_path / "g40.txt"
+    grid_file.write_text("\n".join(" ".join(str(rng.randint(-1000, 1000)) for _ in range(40))
+                                   for _ in range(40)) + "\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "happygrid", "grid", "sort", str(grid_file), "--mode", "bubble",
+         "--trace"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    try:
+        head = [child.stdout.readline() for _ in range(3)]
+        child.stdout.close()
+        err = child.stderr.read()
+    finally:
+        child.wait(timeout=60)
+    assert head[0] == b"# pass 1 merged rows 1,2\n"
+    assert child.returncode == 1
+    assert err == b""
+
+
 def test_text_trace_keeps_no_copies_of_its_snapshots(tmp_path):
     # the snapshots share the rows a merge leaves alone, about 1.3 MiB here; a
     # list copy of each snapshot, which text output never reads, took 12.8 MiB
@@ -812,6 +837,127 @@ def test_grid_verify_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def verify_flats(args):
+    # each grid's cells in row-major order, drawn as grid verify draws them
+    cells = args.rows * args.cols
+    if args.exhaustive:
+        return itertools.product(range(args.alphabet), repeat=cells)
+    rng = random.Random(args.seed)
+    return (rng.choices(range(args.min, args.max + 1), k=cells) for _ in range(args.trials))
+
+
+def first_bad_grid(argv):
+    """The reference: _check_grid on one grid at a time; the first failure's
+    (index, grid, problem), or None."""
+    args = cli.build_parser().parse_args(argv)
+    for index, flat in enumerate(verify_flats(args)):
+        grid = Grid(tuple(zip(*[iter(flat)] * args.cols)))
+        problem = cli._check_grid(grid)
+        if problem is not None:
+            return index, grid, problem
+    return None
+
+
+def break_kernel(monkeypatch, name, broken):
+    """Patch cli.<name> to go wrong on the grids where broken(grid) holds: the
+    bubble passes count one pass too many, a row sort returns each row right
+    to left, a column sort returns the rows upside down."""
+    original = getattr(cli, name)
+
+    def kernel(grid):
+        result = original(grid)
+        if not broken(grid):
+            return result
+        if name == "bubble_column_sort":
+            return result[0], result[1] + 1
+        if name == "sort_rows":
+            return Grid(tuple(row[::-1] for row in result.entries))
+        return Grid(result.entries[::-1])
+
+    monkeypatch.setattr(cli, name, kernel)
+
+
+def shares_a_line_with(argv, index, kernel):
+    """A test on grids: do they hold row 1 (for the row sort) or column 1 (for
+    the column kernels) of the index-th grid that `argv` generates?  A block
+    keeps rows whole when stacked top to bottom, columns when side by side."""
+    args = cli.build_parser().parse_args(argv)
+    flat = next(itertools.islice(verify_flats(args), index, None))
+    if kernel == "sort_rows":
+        row = tuple(flat[args.cols:2 * args.cols])
+        return lambda grid: row in grid.entries
+    column = tuple(flat[1::args.cols])
+    return lambda grid: column in zip(*grid.entries)
+
+
+RANDOM_3X3 = ["grid", "verify", "--seed", "42"]
+EXHAUSTIVE_3X3 = ["grid", "verify", "--exhaustive"]
+
+
+# A kernel broken on grids that hold a chosen row or column breaks every block
+# holding such a grid, and the block is then checked grid by grid.
+@pytest.mark.parametrize("argv, kernel, index", [
+    pytest.param(RANDOM_3X3, "bubble_column_sort", 700, id="random-bubble-700"),
+    pytest.param(RANDOM_3X3, "sort_cols", 500, id="random-cols-500"),
+    pytest.param(RANDOM_3X3, "sort_rows", 300, id="random-rows-300"),
+    pytest.param(RANDOM_3X3, "bubble_column_sort", 0, id="random-bubble-0"),
+    pytest.param(EXHAUSTIVE_3X3, "sort_cols", 5000, id="exhaustive-cols-5000"),
+    pytest.param(EXHAUSTIVE_3X3, "bubble_column_sort", 19682, id="exhaustive-bubble-19682"),
+])
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+def test_grid_verify_reports_the_first_bad_grid(capsys, monkeypatch, argv, kernel, index,
+                                                json_out):
+    break_kernel(monkeypatch, kernel, shares_a_line_with(argv, index, kernel))
+    expected = first_bad_grid(argv)
+    assert expected is not None and expected[0] <= index
+    at, grid, problem = expected
+    code, out, err = run_cli(capsys, *argv, *["--json"] * json_out)
+    assert code == 1
+    if json_out:
+        assert err == ""
+        record = json.loads(out)
+        assert record["ok"] is False and record["checked"] == at
+        assert record["counterexample"] == {
+            "index": at, "problem": problem, "grid": [list(row) for row in grid.entries]}
+    else:
+        seed_note = "" if "--exhaustive" in argv else " (seed 42)"
+        assert out == ""
+        assert err == f"counterexample at trial {at}{seed_note}: {problem}\n{format_grid(grid)}\n"
+
+
+def test_grid_verify_counterexample_is_pinned(capsys, monkeypatch):
+    break_kernel(monkeypatch, "bubble_column_sort",
+                 shares_a_line_with(RANDOM_3X3, 700, "bubble_column_sort"))
+    expected = (GOLDEN / "grid-verify-counterexample-42.json").read_text(encoding="utf-8")
+    assert run_cli(capsys, *RANDOM_3X3, "--json") == (1, expected, "")
+
+
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [RANDOM_3X3, EXHAUSTIVE_3X3], ids=["random", "exhaustive"])
+def test_grid_verify_never_passes_a_kernel_broken_on_wide_rows(capsys, monkeypatch, argv,
+                                                               json_out):
+    # every grid passes alone, every block fails: the verdict is a failure
+    break_kernel(monkeypatch, "bubble_column_sort", lambda grid: grid.cols > 3)
+    assert first_bad_grid(argv) is None
+    code, out, err = run_cli(capsys, *argv, *["--json"] * json_out)
+    assert code == 1 and out == ""
+    assert err == (f"error: grids 0 to {cli.BLOCK_CELLS // 9 - 1} fail as one block but pass "
+                   "one by one: the kernels let separate grids interact\n")
+
+
+@pytest.mark.parametrize("index", [0, 2 * (cli.BLOCK_CELLS // 9)], ids=["block-0", "block-2"])
+def test_grid_verify_checks_the_real_width_in_every_block(capsys, monkeypatch, index):
+    # broken only at the requested width, on the first grid of a block
+    chosen = shares_a_line_with(RANDOM_3X3, index, "sort_cols")
+    break_kernel(monkeypatch, "sort_cols", lambda grid: grid.cols == 3 and chosen(grid))
+    at, grid, problem = first_bad_grid(RANDOM_3X3)
+    assert at == index
+    code, out, err = run_cli(capsys, *RANDOM_3X3, "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["counterexample"] == {
+        "index": index, "problem": problem, "grid": [list(row) for row in grid.entries]}
 
 
 def test_grid_verify_bad_range(capsys):

@@ -262,6 +262,18 @@ def test_parse_errors_name_line_and_column():
         parse_grid("1_0 2\n3 4\n")
 
 
+def test_parse_errors_give_long_tokens_by_length():
+    short = "x" * 30
+    with pytest.raises(GridParseError) as quoted:
+        parse_grid(f"1 2\n3 {short}\n")
+    assert str(quoted.value) == f"line 2, column 3: not a decimal integer: {short!r}"
+    # a 260,000-character token was quoted in full, a 260 KB error line
+    with pytest.raises(GridParseError) as counted:
+        parse_grid("1 2\n3 " + "7" * 259_999 + "x\n")
+    assert str(counted.value) == "line 2, column 3: not a decimal integer: <260000 characters>"
+    assert (counted.value.line, counted.value.column) == (2, 3)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="the int-string digit limit came with Python 3.11")
 def test_parse_refuses_entries_past_the_int_string_limit():
