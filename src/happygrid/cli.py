@@ -58,33 +58,43 @@ EXIT_USAGE = 2
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 
 # `grid verify --exhaustive` checks at most this many grids.  The 3^9 3x3
-# grids take 0.2-0.3 s and the 10**6 1x3 grids over 100 values 3.9-4.4 s
+# grids take 0.2 s and the 10**6 1x3 grids over 100 values 3.2 s
 # (Python 3.11, 2-vCPU Xeon).
 MAX_EXHAUSTIVE_GRIDS = 10**6
 
 # `grid verify` checks at most this many cells in all, a cell counting once
 # per started block of 16 rows of its grid, since the bubble passes merge a
-# column of n rows n(n-1)/2 times.  The costliest shape per counted cell is
-# a single tall column: one 6928x1 grid takes 40-49 s, while 3*10**6 1x1
-# grids, checked in blocks, take 10-11 s (Python 3.11, 2-vCPU Xeon), so the
-# largest request allowed takes under a minute.
+# column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
+# are a single tall column and single cells: one 6928x1 grid takes 8.9 s
+# and 3*10**6 1x1 grids, checked in blocks, 7.8 s (Python 3.11, 2-vCPU
+# Xeon), so the largest request allowed takes about ten seconds.
 MAX_GRID_CELLS = 3 * 10**6
 
 # `grid verify` checks no grid of more cells than this.  Memory grows with
 # the largest grid, not with the cells in all: the verify path holds several
 # tuple copies of a grid, and single rows cost most, since each column
-# becomes a tuple of its own.  One 1x(10**5) grid peaks at 35 MB against
-# 16 MB for a 1x1 grid, about 195 bytes a cell, and 1x(5*10**5) at 117 MB
+# becomes a tuple of its own; the bubble passes add a rank table of the
+# grid's distinct values.  One 1x(10**5) grid peaks at 35 MB, 40 MB when
+# its entries are distinct, against 16 MB for a 1x1 grid, about 195-240
+# bytes a cell, and 1x(5*10**5) at 117 MB, 132 MB with distinct entries
 # (Python 3.11, 2-vCPU Xeon).
 MAX_CELLS_PER_GRID = 10**5
 
 # `grid verify` checks grids in blocks of about this many cells, a few kernel
 # calls a block (see _block_passes).  Larger blocks spread each call's fixed
 # cost over more grids but keep more objects alive for the garbage collector
-# to scan.  An 8x8 grid costs 110 us alone, 55 us in blocks of 2048 cells and
-# 92 us in blocks of 8192, and a 3x3 grid 20, 7 and 9 us (medians of seven
+# to scan.  An 8x8 grid costs 87 us alone, 45 us in blocks of 2048 cells and
+# 51 us in blocks of 8192, and a 3x3 grid 30, 10 and 10 us (medians of seven
 # in-process runs; Python 3.11, 2-vCPU Xeon).
 BLOCK_CELLS = 2048
+
+# `grid sort --mode bubble --trace` prints at most this many snapshot cells,
+# n(n-1)/2 snapshots of n x p cells, which its time and, with --json, its
+# memory follow: an 80x80 trace's 2.02*10**7 cells take 2.4-2.9 s and 23 MB
+# as text and 5.2 s and 628 MB as JSON, about 31 bytes a cell (Python 3.11,
+# 2-vCPU Xeon).  A 180x180 trace, 5.2*10**8 cells, had reached 4.2 GB
+# when it was stopped after a minute.
+MAX_TRACE_CELLS = 25 * 10**6
 
 # `certify --p-max` scans the threshold inequality at most this far.  The
 # scan multiplies a running base**(p - 1) by the base once per p, so it grows
@@ -519,6 +529,11 @@ def cmd_grid_sort(args) -> int:
         outputs = [rows_sorted, sort_cols(rows_sorted)]
         record["rows_sorted"] = rows_sorted.entries
     elif args.trace:
+        cells = grid.rows * (grid.rows - 1) // 2 * grid.rows * grid.cols
+        if cells > MAX_TRACE_CELLS:
+            raise TooLargeError(f"a traced bubble sort of a {brief(grid.rows)}x{brief(grid.cols)} "
+                                f"grid holds {brief(cells)} snapshot cells, above the limit of "
+                                f"{MAX_TRACE_CELLS}")
         merges = list(trace_bubble(grid))
         outputs = [merges[-1].grid if merges else grid]
         record["trace"] = [{

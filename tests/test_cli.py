@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import happygrid.certify as certify
 import happygrid.cli as cli
 import happygrid.dynamics as dynamics
+import happygrid.gridsort as gridsort
 from happygrid.certify import (
     default_step_budget,
     digit_reduction_threshold,
@@ -674,6 +675,40 @@ def test_grid_sort_trace_matches_untraced(capsys, monkeypatch, text):
         assert traced["trace"][-1]["grid"] == traced["output"]
     else:
         assert traced["output"] == traced["input"]
+
+
+def test_grid_sort_trace_refuses_too_many_snapshot_cells(capsys, monkeypatch, tmp_path):
+    # the worked 3x5 grid traces 3 snapshots of 15 cells
+    monkeypatch.setattr(cli, "MAX_TRACE_CELLS", 45)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED_GRID))
+    code, out, _ = run_cli(capsys, "grid", "sort", "--mode", "bubble", "--trace")
+    assert code == 0 and "# pass 2 merged rows 1,2" in out
+    monkeypatch.setattr(cli, "MAX_TRACE_CELLS", 44)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED_GRID))
+    code, out, err = run_cli(capsys, "grid", "sort", "--mode", "bubble", "--trace")
+    assert code == 2 and out == ""
+    assert err == ("error: a traced bubble sort of a 3x5 grid holds 45 snapshot cells, "
+                   "above the limit of 44\n")
+    monkeypatch.undo()
+    # the real cap admits the 80x80 trace CI runs and refuses 90x90 before any merge
+    assert 80 * 79 // 2 * 80 * 80 <= cli.MAX_TRACE_CELLS < 90 * 89 // 2 * 90 * 90
+
+    def no_merge(*args):
+        raise AssertionError("merged before refusing")
+
+    monkeypatch.setattr(gridsort, "_merge_packed", no_merge)
+    grid_file = tmp_path / "g90.txt"
+    grid_file.write_text("\n".join(" ".join(["7"] * 90) for _ in range(90)) + "\n",
+                         encoding="utf-8")
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "bubble",
+                                 "--trace", *extra)
+        assert code == 2 and out == ""
+        assert err == ("error: a traced bubble sort of a 90x90 grid holds 32440500 snapshot "
+                       f"cells, above the limit of {cli.MAX_TRACE_CELLS}\n")
+    # untraced, the same grid sorts
+    code, out, _ = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "cols")
+    assert code == 0
 
 
 def test_grid_sort_parse_error(capsys, tmp_path):

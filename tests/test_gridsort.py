@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 from itertools import pairwise
@@ -161,17 +162,17 @@ def test_ragged_grid_names_the_first_bad_row(rows, message):
 @given(g=grids())
 def test_bubble_makes_n_choose_2_merges(g):
     calls = []
-    merge = gridsort.two_row_minmax
+    merge = gridsort._merge_packed
 
-    def counted(top, bottom):
+    def counted(*args):
         calls.append(1)
-        return merge(top, bottom)
+        return merge(*args)
 
-    gridsort.two_row_minmax = counted
+    gridsort._merge_packed = counted
     try:
         _, passes = bubble_column_sort(g)
     finally:
-        gridsort.two_row_minmax = merge
+        gridsort._merge_packed = merge
     n = g.rows
     assert len(calls) == n * (n - 1) // 2 and passes == n - 1
 
@@ -226,6 +227,67 @@ def test_two_line_grid_reduces_to_the_lemma():
     assert len(steps) == 1
     low, high = two_row_minmax(g.entries[0], g.entries[1])
     assert steps[0].grid.entries == (low, high)
+
+
+# --- the packed merge kernel against a tuple-comprehension reference -------
+
+def _reference_merge(top, bottom):
+    return tuple(zip(*[(t, u) if t <= u else (u, t) for t, u in zip(top, bottom)])) or ((), ())
+
+
+def _reference_trace(entries):
+    """(pass, top row, rows) after each merge of the bubble passes, merged by tuples."""
+    rows = list(entries)
+    n = len(rows)
+    for k in range(1, n):
+        for i in range(n - k):
+            rows[i], rows[i + 1] = _reference_merge(rows[i], rows[i + 1])
+            yield k, i, tuple(rows)
+
+
+def _shuffled_grid(values, rows, rng):
+    values = list(values)
+    rng.shuffle(values)
+    return Grid(tuple(zip(*[iter(values)] * (len(values) // rows))))
+
+
+_rng = random.Random(18)
+PACKING_GRIDS = {
+    # 2**15 distinct values fill 16-bit fields, one more needs 32-bit ones
+    "2^15-distinct": _shuffled_grid(range(2**15), 2, _rng),
+    "2^15+1-distinct": _shuffled_grid(range(-2**40, -2**40 + 3 * (2**15 + 1), 3), 3, _rng),
+    "past-2^64-and-negative": _shuffled_grid(
+        [2**64, 2**64 + 1, -2**64, -2**70, 2**70, 0, -1] * 3
+        + [_rng.randint(-2**100, 2**100) for _ in range(21)], 6, _rng),
+    "all-equal": Grid(((-2**65,) * 5,) * 4),
+    "one-row": _shuffled_grid(range(-9, 9), 1, _rng),
+    "one-column": _shuffled_grid([_rng.randint(-2**66, 2**66) for _ in range(30)] * 2, 60, _rng),
+}
+
+
+@pytest.mark.parametrize("name", PACKING_GRIDS)
+def test_packed_passes_match_the_references(name):
+    g = PACKING_GRIDS[name]
+    column_sorted = tuple(zip(*(sorted(column) for column in zip(*g.entries))))
+    assert bubble_column_sort(g) == (Grid(column_sorted), g.rows - 1)
+    steps = [(s.pass_no, s.top_row, s.grid.entries) for s in trace_bubble(g)]
+    assert steps == list(_reference_trace(g.entries))
+    assert (steps[-1][2] if steps else g.entries) == column_sorted
+
+
+@pytest.mark.parametrize("distinct, shift", [(2, 15), (2**15, 15), (2**15 + 1, 31)])
+def test_field_width_leaves_a_guard_bit(distinct, shift):
+    _, guards, chosen, _ = gridsort._rank_pack([range(distinct), range(distinct)])
+    assert chosen == shift
+    field = 1 << (shift + 1)
+    assert guards == ((field ** distinct - 1) // (field - 1)) << shift  # every field's top bit
+
+
+@given(g=grids(max_rows=6, max_cols=6, lo=-3, hi=3)
+       | grids(max_rows=6, max_cols=6, lo=-2**70, hi=2**70))
+def test_trace_matches_the_tuple_reference(g):
+    steps = [(s.pass_no, s.top_row, s.grid.entries) for s in trace_bubble(g)]
+    assert steps == list(_reference_trace(g.entries))
 
 
 # --- grid text format -------------------------------------------------------
