@@ -81,7 +81,7 @@ MAX_GRID_CELLS = 3 * 10**6
 MAX_CELLS_PER_GRID = 10**5
 
 # `grid verify` checks grids in blocks of about this many cells, a few kernel
-# calls a block (see _block_passes).  Larger blocks spread each call's fixed
+# calls a block (see _check_grid).  Larger blocks spread each call's fixed
 # cost over more grids but keep more objects alive for the garbage collector
 # to scan.  An 8x8 grid costs 87 us alone, 45 us in blocks of 2048 cells and
 # 51 us in blocks of 8192, and a 3x3 grid 30, 10 and 10 us (medians of seven
@@ -95,6 +95,16 @@ BLOCK_CELLS = 2048
 # 2-vCPU Xeon).  A 180x180 trace, 5.2*10**8 cells, had reached 4.2 GB
 # when it was stopped after a minute.
 MAX_TRACE_CELLS = 25 * 10**6
+
+# `grid sort --mode bubble` runs at most this much work, its n(n-1)/2 merges
+# counting 64 each plus one per column: neither merges nor cells alone track
+# the time.  A merge of packed rows costs 0.35-0.6 us at 1-30 columns, about
+# 2.9 us at 1000 columns of 16-bit fields and 5.8-7.6 us at 1000 columns of
+# 32-bit ones (over 32768 distinct entries), so a unit takes 2.7-9 ns: the
+# 6928x1 grid `grid verify` allows counts 1.56*10**9 units and takes 9-14 s,
+# a 1000x1000 grid 5.3*10**8 and 1.4-2.9 s, by field width (Python 3.11,
+# 2-vCPU Xeon).
+MAX_BUBBLE_WORK = 16 * 10**8
 
 # `certify --p-max` scans the threshold inequality at most this far.  The
 # scan multiplies a running base**(p - 1) by the base once per p, so it grows
@@ -273,7 +283,9 @@ def load_cached_atlas(path: Path, system: DigitSystem) -> AttractorAtlas | None:
         return record_to_atlas(record)
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, KeyError, TypeError, CertificationError) as exc:
+    # json.loads raises RecursionError on arrays nested too deep, "[" * 200000
+    except (OSError, ValueError, KeyError, TypeError, RecursionError,
+            CertificationError) as exc:
         print(f"warning: ignoring corrupt atlas cache {path}: {exc}", file=sys.stderr)
         return None
 
@@ -542,6 +554,13 @@ def cmd_grid_sort(args) -> int:
             "grid": step.grid.entries,
         } for step in merges]
     else:
+        pairs = grid.rows * (grid.rows - 1) // 2
+        work = pairs * (64 + grid.cols)
+        if work > MAX_BUBBLE_WORK:
+            raise TooLargeError(f"a bubble sort of a {brief(grid.rows)}x{brief(grid.cols)} grid "
+                                f"counts {brief(work)} units of work ({brief(pairs)} merges "
+                                f"of 64 units plus one a column), above the limit of "
+                                f"{MAX_BUBBLE_WORK}")
         outputs = [bubble_column_sort(grid)[0]]
     record["output"] = [list(r) for r in outputs[-1].entries]
     if args.mode == "bubble":
@@ -558,18 +577,29 @@ def cmd_grid_sort(args) -> int:
     return EXIT_OK
 
 
-def _check_grid(grid: Grid) -> str | None:
-    """One grid against the theorem and the bubble contract; None if clean."""
-    final = sort_cols(sort_rows(grid))
-    if not is_rows_sorted(final):
+def _check_grid(stacked: Grid, rows: int | None = None) -> str | None:
+    """Grids of `rows` rows each, stacked top to bottom, against the theorem
+    and the bubble contract; the first check that fails, or None if clean.
+
+    Rows never interact in a row sort, so the grids' rows are sorted stacked.
+    Columns never interact in a column sort or a merge, so those run on the
+    grids laid side by side.  By default the stack is one grid, and a stack
+    of one grid laid side by side or stacked again is the grid itself.
+    """
+    rows = rows or stacked.rows
+    final = sort_cols(_side_by_side(sort_rows(stacked).entries, rows))
+    restacked = Grid(tuple(itertools.chain.from_iterable(
+        zip(*[iter(row)] * stacked.cols) for row in final.entries)))
+    if not is_rows_sorted(restacked):
         return "rows unsorted after row+column sort"
     if not is_cols_sorted(final):
         return "columns unsorted after column sort"
-    bubbled, passes = bubble_column_sort(grid)
-    if bubbled != sort_cols(grid):
+    wide = _side_by_side(stacked.entries, rows)
+    bubbled, passes = bubble_column_sort(wide)
+    if bubbled != sort_cols(wide):
         return "bubble pass result differs from column sort"
-    if passes != grid.rows - 1:
-        return f"expected {grid.rows - 1} passes, ran {passes}"
+    if passes != rows - 1:
+        return f"expected {rows - 1} passes, ran {passes}"
     return None
 
 
@@ -614,9 +644,10 @@ def cmd_grid_verify(args) -> int:
     while stacked := tuple(zip(*[itertools.chain.from_iterable(
             itertools.islice(generated, per_block))] * cols)):
         # The first grid alone keeps the requested width under test, the rest
-        # go as one wide grid; a failing block is checked again grid by grid.
+        # go as one stack; a failing block is checked again grid by grid.
         count = len(stacked) // rows
-        if _check_grid(Grid(stacked[:rows])) is None and _block_passes(stacked[rows:], rows):
+        if _check_grid(Grid(stacked[:rows])) is None and (
+                count == 1 or _check_grid(Grid(stacked[rows:]), rows) is None):
             checked += count
             continue
         for top in range(0, len(stacked), rows):
@@ -635,25 +666,6 @@ def _side_by_side(stacked: tuple, rows: int) -> Grid:
     # row i of the wide grid holds row i of every grid, left to right
     return Grid(tuple(tuple(itertools.chain.from_iterable(stacked[i::rows]))
                       for i in range(rows)))
-
-
-def _block_passes(stacked: tuple, rows: int) -> bool:
-    """_check_grid on the grids of a block at once; True for no grids.
-
-    Rows never interact in a row sort, so the grids' rows are sorted stacked
-    top to bottom.  Columns never interact in a column sort or a bubble pass,
-    so those run on the grids laid side by side.
-    """
-    if not stacked:
-        return True
-    wide = _side_by_side(stacked, rows)
-    final = sort_cols(_side_by_side(sort_rows(Grid(stacked)).entries, rows))
-    cols = len(stacked[0])
-    restacked = Grid(tuple(itertools.chain.from_iterable(
-        zip(*[iter(row)] * cols) for row in final.entries)))
-    bubbled, passes = bubble_column_sort(wide)
-    return (is_rows_sorted(restacked) and is_cols_sorted(final)
-            and bubbled == sort_cols(wide) and passes == rows - 1)
 
 
 def _grid_report(args, checked: int, grid: Grid | None = None,

@@ -208,12 +208,13 @@ def bubble_column_sort(g: Grid) -> tuple[Grid, int]:
     maxima and never moves again, after pass 2 the row above it, etc.
     Equals sort_cols on every input (per column this is bubble sort).
     The rows are packed once, merged packed and unpacked once.
-    Returns the sorted grid and the pass count n - 1.
+    Returns the sorted grid and the number of passes the merges ran, n - 1.
     """
     rows, guards, shift, unpack = _rank_pack(g.entries)
-    for _ in _bubble_passes(rows, guards, shift):
+    passes = 0
+    for passes, _ in _bubble_passes(rows, guards, shift):
         pass
-    return Grid(tuple(map(unpack, rows))), g.rows - 1
+    return Grid(tuple(map(unpack, rows))), passes
 
 
 def trace_bubble(g: Grid) -> Iterator[MergeStep]:

@@ -312,6 +312,23 @@ def test_attractors_recovers_from_corrupt_cache(capsys, tmp_path):
     json.loads(cache_file.read_text(encoding="utf-8"))  # rewritten clean
 
 
+@pytest.mark.parametrize("command", [["classify", "4"], ["attractors", "--json"]],
+                         ids=["classify", "attractors"])
+def test_cache_nested_too_deep_is_rebuilt(capsys, tmp_path, command):
+    # json.loads gives up on this file with RecursionError, not ValueError
+    cache = ("--cache-dir", str(tmp_path))
+    code, honest, _ = run_cli(capsys, *command, *cache)
+    assert code == 0
+    cache_file = tmp_path / "atlas-b10-e2.json"
+    good = cache_file.read_text(encoding="utf-8")
+    cache_file.write_text("[" * 200000, encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, *cache)
+    assert code == 0 and out == honest
+    assert err.startswith(f"warning: ignoring corrupt atlas cache {cache_file}: ")
+    assert "recursion" in err and err.count("\n") == 1
+    assert cache_file.read_text(encoding="utf-8") == good
+
+
 def test_attractors_rejects_tampered_cache(capsys, tmp_path):
     code, honest, _ = run_cli(
         capsys, "attractors", "--json", "--cache-dir", str(tmp_path)
@@ -711,6 +728,32 @@ def test_grid_sort_trace_refuses_too_many_snapshot_cells(capsys, monkeypatch, tm
     assert code == 0
 
 
+def test_grid_sort_bubble_refuses_too_much_work(capsys, monkeypatch, tmp_path):
+    # the cap admits the 180x180 sort the benchmark runs, the 200x200 and
+    # 80x80 ones CI runs and the 6928x1 grid that grid verify allows
+    for n, p in ((180, 180), (200, 200), (80, 80), (6928, 1)):
+        assert n * (n - 1) // 2 * (64 + p) <= cli.MAX_BUBBLE_WORK
+
+    def no_merge(*args):
+        raise AssertionError("merged before refusing")
+
+    monkeypatch.setattr(gridsort, "_merge_packed", no_merge)
+    grid_file = tmp_path / "tall.txt"
+    grid_file.write_text("7\n" * 10000, encoding="utf-8")
+    for extra in ([], ["--json"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "bubble",
+                                 *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == ("error: a bubble sort of a 10000x1 grid counts 3249675000 units of "
+                       "work (49995000 merges of 64 units plus one a column), above the "
+                       f"limit of {cli.MAX_BUBBLE_WORK}\n")
+    # the other modes are not capped
+    code, out, _ = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "both")
+    assert code == 0
+
+
 def test_grid_sort_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3\n4 x 6\n", encoding="utf-8")
@@ -916,19 +959,23 @@ def break_kernel(monkeypatch, name, broken):
 
 def shares_a_line_with(argv, index, kernel):
     """A test on grids: do they hold row 1 (for the row sort) or column 1 (for
-    the column kernels) of the index-th grid that `argv` generates?  A block
-    keeps rows whole when stacked top to bottom, columns when side by side."""
+    the column kernels) of the index-th grid that `argv` generates, row or
+    column 0 if it has only one?  A block keeps rows whole when stacked top
+    to bottom, columns when side by side."""
     args = cli.build_parser().parse_args(argv)
     flat = next(itertools.islice(verify_flats(args), index, None))
     if kernel == "sort_rows":
-        row = tuple(flat[args.cols:2 * args.cols])
+        top = min(1, args.rows - 1) * args.cols
+        row = tuple(flat[top:top + args.cols])
         return lambda grid: row in grid.entries
-    column = tuple(flat[1::args.cols])
+    column = tuple(flat[min(1, args.cols - 1)::args.cols])
     return lambda grid: column in zip(*grid.entries)
 
 
 RANDOM_3X3 = ["grid", "verify", "--seed", "42"]
 EXHAUSTIVE_3X3 = ["grid", "verify", "--exhaustive"]
+RANDOM_1X5 = [*RANDOM_3X3, "--rows", "1", "--cols", "5"]
+RANDOM_5X1 = [*RANDOM_3X3, "--rows", "5", "--cols", "1"]
 
 
 # A kernel broken on grids that hold a chosen row or column breaks every block
@@ -940,6 +987,13 @@ EXHAUSTIVE_3X3 = ["grid", "verify", "--exhaustive"]
     pytest.param(RANDOM_3X3, "bubble_column_sort", 0, id="random-bubble-0"),
     pytest.param(EXHAUSTIVE_3X3, "sort_cols", 5000, id="exhaustive-cols-5000"),
     pytest.param(EXHAUSTIVE_3X3, "bubble_column_sort", 19682, id="exhaustive-bubble-19682"),
+    # A one-row stack lays out side by side as one row, a one-column stack as
+    # one column.  A row reversed in a one-column grid or a one-row grid
+    # turned upside down is still sorted, so those two go untested.
+    pytest.param(RANDOM_1X5, "sort_rows", 700, id="random-1x5-rows-700"),
+    pytest.param(RANDOM_1X5, "bubble_column_sort", 0, id="random-1x5-bubble-0"),
+    pytest.param(RANDOM_5X1, "sort_cols", 700, id="random-5x1-cols-700"),
+    pytest.param(RANDOM_5X1, "bubble_column_sort", 300, id="random-5x1-bubble-300"),
 ])
 @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
 def test_grid_verify_reports_the_first_bad_grid(capsys, monkeypatch, argv, kernel, index,

@@ -1,7 +1,7 @@
 import random
 import sys
 from collections import Counter
-from itertools import pairwise
+from itertools import islice, pairwise
 
 import pytest
 from hypothesis import assume, given
@@ -175,6 +175,20 @@ def test_bubble_makes_n_choose_2_merges(g):
         gridsort._merge_packed = merge
     n = g.rows
     assert len(calls) == n * (n - 1) // 2 and passes == n - 1
+
+
+def test_bubble_counts_the_passes_it_ran(monkeypatch):
+    # with its last pass skipped, a column-sorted grid still comes out right:
+    # only the pass count can tell
+    passes = gridsort._bubble_passes
+
+    def short(rows, guards, shift):
+        n = len(rows)
+        return islice(passes(rows, guards, shift), n * (n - 1) // 2 - 1)
+
+    monkeypatch.setattr(gridsort, "_bubble_passes", short)
+    g = sort_cols(T)
+    assert bubble_column_sort(g) == (g, g.rows - 2)
 
 
 @given(pair=sorted_row_pairs)
