@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -89,11 +90,11 @@ MAX_CELLS_PER_GRID = 10**5
 BLOCK_CELLS = 2048
 
 # `grid sort --mode bubble --trace` prints at most this many snapshot cells,
-# n(n-1)/2 snapshots of n x p cells, which its time and, with --json, its
-# memory follow: an 80x80 trace's 2.02*10**7 cells take 2.4-2.9 s and 23 MB
-# as text and 5.2 s and 628 MB as JSON, about 31 bytes a cell (Python 3.11,
-# 2-vCPU Xeon).  A 180x180 trace, 5.2*10**8 cells, had reached 4.2 GB
-# when it was stopped after a minute.
+# n(n-1)/2 snapshots of n x p cells, which its time and output size follow;
+# each snapshot is written as it is made, so memory does not.  An 80x80
+# trace's 2.02*10**7 cells take 2.6-3.9 s and 89 MB as text and 3.8-5.0 s
+# and 317 MB as JSON, both at 16 MB peak RSS (Python 3.11, 2-vCPU Xeon).
+# A 180x180 trace, 5.2*10**8 cells, would write about 8 GB of JSON.
 MAX_TRACE_CELLS = 25 * 10**6
 
 # `grid sort --mode bubble` runs at most this much work, its n(n-1)/2 merges
@@ -187,8 +188,33 @@ def dumps_canonical(record: dict) -> str:
 
     Byte for byte json.dumps(record, sort_keys=True, indent=2) + "\\n", joined
     from strings instead of run through the stdlib's pure-Python encoder.
+    Any other JSON value renders the same way.
     """
     return _render(record, "\n") + "\n"
+
+
+def _write_canonical(record: dict) -> None:
+    """Write dumps_canonical(record) to stdout, an iterator value item by item.
+
+    An iterator is written as a list, each item rendered and written as it
+    is made, so a long trace is never held whole.  Indenting a rendered
+    value to its depth is exact: a canonical record holds no raw newline
+    inside a string.
+    """
+    write = sys.stdout.write
+    lead = "{"
+    for key, value in sorted(record.items()):
+        write(lead + "\n  " + encode_basestring_ascii(key) + ": ")
+        lead = ","
+        if not isinstance(value, Iterator):
+            write(dumps_canonical(value)[:-1].replace("\n", "\n  "))
+            continue
+        opening = "["
+        for item in value:
+            write(opening + "\n    " + dumps_canonical(item)[:-1].replace("\n", "\n    "))
+            opening = ","
+        write("[]" if opening == "[" else "\n  ]")
+    write("\n}\n")
 
 
 def _render(value, newline: str) -> str:
@@ -531,7 +557,7 @@ def cmd_grid_sort(args) -> int:
         return EXIT_USAGE
 
     record: dict = {"mode": args.mode, "input": grid.entries}
-    merges: list = []
+    steps = ()
     if args.mode == "rows":
         outputs = [sort_rows(grid)]
     elif args.mode == "cols":
@@ -540,36 +566,33 @@ def cmd_grid_sort(args) -> int:
         rows_sorted = sort_rows(grid)
         outputs = [rows_sorted, sort_cols(rows_sorted)]
         record["rows_sorted"] = rows_sorted.entries
-    elif args.trace:
-        cells = grid.rows * (grid.rows - 1) // 2 * grid.rows * grid.cols
-        if cells > MAX_TRACE_CELLS:
+    else:
+        pairs = grid.rows * (grid.rows - 1) // 2
+        cells = pairs * grid.rows * grid.cols
+        if args.trace and cells > MAX_TRACE_CELLS:
             raise TooLargeError(f"a traced bubble sort of a {brief(grid.rows)}x{brief(grid.cols)} "
                                 f"grid holds {brief(cells)} snapshot cells, above the limit of "
                                 f"{MAX_TRACE_CELLS}")
-        merges = list(trace_bubble(grid))
-        outputs = [merges[-1].grid if merges else grid]
-        record["trace"] = [{
-            "pass": step.pass_no,
-            "top_row": step.top_row,
-            "grid": step.grid.entries,
-        } for step in merges]
-    else:
-        pairs = grid.rows * (grid.rows - 1) // 2
         work = pairs * (64 + grid.cols)
         if work > MAX_BUBBLE_WORK:
             raise TooLargeError(f"a bubble sort of a {brief(grid.rows)}x{brief(grid.cols)} grid "
                                 f"counts {brief(work)} units of work ({brief(pairs)} merges "
                                 f"of 64 units plus one a column), above the limit of "
                                 f"{MAX_BUBBLE_WORK}")
-        outputs = [bubble_column_sort(grid)[0]]
-    record["output"] = [list(r) for r in outputs[-1].entries]
-    if args.mode == "bubble":
-        record["pass_count"] = grid.rows - 1  # bubble sorts in n - 1 passes
+        # the trace key sorts last, so the output and pass count come first,
+        # from an untraced sort that costs a few ms even at 80x80
+        sorted_grid, record["pass_count"] = bubble_column_sort(grid)
+        outputs = [sorted_grid]
+        if args.trace:
+            steps = trace_bubble(grid)
+            record["trace"] = ({"pass": step.pass_no, "top_row": step.top_row,
+                                "grid": step.grid.entries} for step in steps)
+    record["output"] = outputs[-1].entries
 
     if args.json:
-        print(dumps_canonical(record), end="")
+        _write_canonical(record)
         return EXIT_OK
-    for step in merges:
+    for step in steps:
         print(f"# pass {step.pass_no} merged rows {step.top_row + 1},{step.top_row + 2}")
         print(format_grid(step.grid))
         print()

@@ -42,6 +42,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def random_grid_file(path: Path, side: int, seed: int) -> Path:
+    """A side x side grid of entries in [-1000, 1000], written to path."""
+    rng = random.Random(seed)
+    path.write_text("\n".join(" ".join(str(rng.randint(-1000, 1000)) for _ in range(side))
+                              for _ in range(side)) + "\n", encoding="utf-8")
+    return path
+
+
 def canonical(text: str) -> str:
     return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
@@ -694,6 +702,64 @@ def test_grid_sort_trace_matches_untraced(capsys, monkeypatch, text):
         assert traced["output"] == traced["input"]
 
 
+def test_grid_sort_pass_count_is_the_passes_that_ran(capsys, monkeypatch, tmp_path):
+    # a kernel that skips its last pass (one merge, of the top two rows)
+    # leaves a sorted grid sorted, and only its count shows the fault
+    bubble_passes = gridsort._bubble_passes
+
+    def skip_last_pass(rows, guards, shift):
+        merges = len(rows) * (len(rows) - 1) // 2
+        return itertools.islice(bubble_passes(rows, guards, shift), merges - 1)
+
+    monkeypatch.setattr(gridsort, "_bubble_passes", skip_last_pass)
+    grid_file = tmp_path / "sorted.txt"
+    grid_file.write_text("1 2\n3 4\n5 6\n", encoding="utf-8")
+    for extra in ([], ["--trace"]):
+        code, out, _ = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "bubble",
+                               "--json", *extra)
+        assert code == 0
+        assert json.loads(out)["pass_count"] == 1, extra
+
+
+def sort_record(g: Grid, mode: str, trace: bool) -> dict:
+    """The whole `grid sort --json` record, built before any of it is rendered."""
+    record = {"mode": mode, "input": g.entries}
+    if mode == "rows":
+        output = gridsort.sort_rows(g)
+    elif mode == "both":
+        record["rows_sorted"] = gridsort.sort_rows(g).entries
+        output = gridsort.sort_cols(gridsort.sort_rows(g))
+    else:
+        output = gridsort.sort_cols(g)
+    if mode == "bubble":
+        record["pass_count"] = g.rows - 1
+        if trace:
+            record["trace"] = [{"pass": step.pass_no, "top_row": step.top_row,
+                                "grid": step.grid.entries}
+                               for step in list(gridsort.trace_bubble(g))]
+    record["output"] = output.entries
+    return record
+
+
+@pytest.mark.parametrize("shape", ["1x4", "5x1", "3x5-ties", "28x28"])
+def test_grid_sort_json_streams_the_canonical_record(capsys, tmp_path, shape):
+    if shape == "28x28":
+        grid_file = random_grid_file(tmp_path / "g.txt", 28, seed=28)
+    else:
+        text = {"1x4": "5 3 9 1\n", "5x1": "5\n3\n9\n3\n1\n", "3x5-ties": WORKED_GRID}[shape]
+        grid_file = tmp_path / "g.txt"
+        grid_file.write_text(text, encoding="utf-8")
+    g = gridsort.parse_grid(grid_file.read_text(encoding="utf-8"))
+    for mode, trace in (("rows", False), ("cols", False), ("both", False), ("bubble", False),
+                        ("bubble", True)):
+        code, out, err = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", mode,
+                                 "--json", *(["--trace"] if trace else []))
+        assert code == 0 and err == ""
+        assert out == cli.dumps_canonical(sort_record(g, mode, trace)), (mode, trace)
+    if shape == "1x4":
+        assert json.loads(out)["trace"] == []
+
+
 def test_grid_sort_trace_refuses_too_many_snapshot_cells(capsys, monkeypatch, tmp_path):
     # the worked 3x5 grid traces 3 snapshots of 15 cells
     monkeypatch.setattr(cli, "MAX_TRACE_CELLS", 45)
@@ -775,34 +841,31 @@ def test_grid_sort_over_long_entry_exits_2(capsys, tmp_path):
 
 def test_output_into_a_pipe_closed_early_exits_1_quietly(tmp_path):
     # `grid sort --mode bubble --trace | head -3`: the reader leaves after
-    # three lines, while a 40x40 trace prints about 5 MB
-    rng = random.Random(40)
-    grid_file = tmp_path / "g40.txt"
-    grid_file.write_text("\n".join(" ".join(str(rng.randint(-1000, 1000)) for _ in range(40))
-                                   for _ in range(40)) + "\n", encoding="utf-8")
+    # three lines, while a 40x40 trace prints about 5 MB as text and 20 MB
+    # as JSON
+    grid_file = random_grid_file(tmp_path / "g40.txt", 40, seed=40)
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "happygrid", "grid", "sort", str(grid_file), "--mode", "bubble",
-         "--trace"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src})
-    try:
-        head = [child.stdout.readline() for _ in range(3)]
-        child.stdout.close()
-        err = child.stderr.read()
-    finally:
-        child.wait(timeout=60)
-    assert head[0] == b"# pass 1 merged rows 1,2\n"
-    assert child.returncode == 1
-    assert err == b""
+    for extra, first_line in (([], b"# pass 1 merged rows 1,2\n"), (["--json"], b"{\n")):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "happygrid", "grid", "sort", str(grid_file), "--mode",
+             "bubble", "--trace", *extra], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            head = [child.stdout.readline() for _ in range(3)]
+            child.stdout.close()
+            err = child.stderr.read()
+        finally:
+            child.wait(timeout=60)
+        assert head[0] == first_line
+        assert child.returncode == 1, extra
+        assert err == b"", extra
 
 
 def test_text_trace_keeps_no_copies_of_its_snapshots(tmp_path):
-    # the snapshots share the rows a merge leaves alone, about 1.3 MiB here; a
-    # list copy of each snapshot, which text output never reads, took 12.8 MiB
-    rng = random.Random(40)
-    grid_file = tmp_path / "g40.txt"
-    grid_file.write_text("\n".join(" ".join(str(rng.randint(-1000, 1000)) for _ in range(40))
-                                   for _ in range(40)) + "\n", encoding="utf-8")
+    # each snapshot is printed as it is made, about 0.4 MiB here; all of them
+    # held at once, sharing the rows a merge leaves alone, took 1.3 MiB, and
+    # a list copy of each, which text output never reads, 12.8 MiB
+    grid_file = random_grid_file(tmp_path / "g40.txt", 40, seed=40)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
@@ -812,6 +875,22 @@ def test_text_trace_keeps_no_copies_of_its_snapshots(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_json_trace_keeps_no_snapshots(tmp_path):
+    # the record is written a snapshot at a time: about 0.2 MiB here, where
+    # the whole record built before printing took 39 MiB
+    grid_file = random_grid_file(tmp_path / "g40.txt", 40, seed=40)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["grid", "sort", str(grid_file), "--mode", "bubble", "--trace",
+                         "--json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_grid_sort_missing_file(capsys, tmp_path):
