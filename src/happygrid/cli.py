@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import json
 import os
@@ -136,6 +137,10 @@ MAX_WEIGHT_BITS = 2**15
 MAX_DRAWN_VALUES = 2**53
 
 
+class UsageError(Exception):
+    """A request that cannot be served as asked: main prints it and exits 2."""
+
+
 # ----------------------------- argument types ------------------------------
 
 def start_arg(text: str) -> str:
@@ -194,9 +199,9 @@ def dumps_canonical(record: dict) -> str:
 
 
 def _write_canonical(record: dict) -> None:
-    """Write dumps_canonical(record) to stdout, an iterator value item by item.
+    """Write dumps_canonical(record) to stdout; every `--json` record goes out here.
 
-    An iterator is written as a list, each item rendered and written as it
+    An iterator value is written as a list, each item rendered and written as it
     is made, so a long trace is never held whole.  Indenting a rendered
     value to its depth is exact: a canonical record holds no raw newline
     inside a string.
@@ -380,13 +385,12 @@ def cmd_traj(args) -> int:
         with contextlib.suppress(BudgetExceededError):
             traj = step_until_repeat(n, system, budget - taken)
     if traj is None:
-        print(f"error: orbit of {digits} did not repeat within {budget} steps; "
-              "raise --max-steps", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"orbit of {digits} did not repeat within {budget} steps; "
+                         "raise --max-steps")
     # a start that took its first step is steps[0], and the walk's indices shift by one
     steps = [digits] + [str(v) for v in traj.steps[1 - taken:]]
     if args.json:
-        print(dumps_canonical({
+        _write_canonical({
             "base": system.base,
             "exponent": system.exponent,
             "start": steps[0],
@@ -395,7 +399,7 @@ def cmd_traj(args) -> int:
             "transient_length": traj.transient_length + taken,
             "terminal_cycle": [str(m) for m in traj.terminal.members],
             "cycle_length": traj.terminal.length,
-        }), end="")
+        })
         return EXIT_OK
     print(f"base {system.base} exponent {system.exponent}")
     print("orbit:", " ".join(steps))
@@ -428,7 +432,7 @@ def cmd_classify(args) -> int:
         }
         if full:
             record["attractor"] = cycle_record(attractor)
-        print(dumps_canonical(record), end="")
+        _write_canonical(record)
     elif full:
         kind = "fixed point" if attractor.is_fixed_point else f"cycle of length {attractor.length}"
         print(f"{digits} reaches {kind}:", " ".join(str(m) for m in attractor.members))
@@ -442,7 +446,7 @@ def cmd_attractors(args) -> int:
     system = _digit_system(args)
     atlas = load_or_build_atlas(system, args.cache_dir)
     if args.json:
-        print(dumps_canonical(atlas_record(atlas)), end="")
+        _write_canonical(atlas_record(atlas))
         return EXIT_OK
     print(f"base {system.base} exponent {system.exponent}")
     print(f"p0 {digit_reduction_threshold(system)}  brute bound {brute_bound(system)}  "
@@ -484,8 +488,7 @@ def cmd_certify(args) -> int:
     lo = args.lo if args.lo is not None else 0
     hi = args.hi if args.hi is not None else brute_bound(system)
     if lo > hi:
-        print(f"error: empty verification range [{brief(lo)}, {brief(hi)}]", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"empty verification range [{brief(lo)}, {brief(hi)}]")
     # the bound first: with the default --hi, the range is [0, B] itself
     check_bound_size(system)
     check_range_size(system, lo, hi)
@@ -515,12 +518,12 @@ def cmd_certify(args) -> int:
 
     ok = all(stage["ok"] for stage in stages)
     if args.json:
-        print(dumps_canonical({
+        _write_canonical({
             "base": system.base,
             "exponent": system.exponent,
             "ok": ok,
             "stages": stages,
-        }), end="")
+        })
     else:
         print(f"base {system.base} exponent {system.exponent}")
         for stage in stages:
@@ -538,23 +541,12 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _read_grid_text(path_text: str) -> str:
-    if path_text == "-":
-        return sys.stdin.read()
-    return Path(path_text).read_text(encoding="utf-8")
-
-
 def cmd_grid_sort(args) -> int:
     try:
-        text = _read_grid_text(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        grid = parse_grid(text)
-    except GridParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        grid = parse_grid(sys.stdin.read() if args.file == "-"
+                          else Path(args.file).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, GridParseError) as exc:
+        raise UsageError(exc) from None
 
     record: dict = {"mode": args.mode, "input": grid.entries}
     steps = ()
@@ -637,8 +629,7 @@ def cmd_grid_verify(args) -> int:
             raise TooLargeError(f"{brief(args.alphabet)}^{brief(cells)} grids of shape {shape} "
                                 f"exceed the limit of {MAX_EXHAUSTIVE_GRIDS}")
     elif args.min > args.max:
-        print(f"error: empty value range [{brief(args.min)}, {brief(args.max)}]", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"empty value range [{brief(args.min)}, {brief(args.max)}]")
     elif args.max - args.min + 1 > MAX_DRAWN_VALUES:
         raise TooLargeError(f"value range [{brief(args.min)}, {brief(args.max)}] holds "
                             f"{brief(args.max - args.min + 1)} values, above the limit of "
@@ -695,7 +686,7 @@ def _grid_report(args, checked: int, grid: Grid | None = None,
                  problem: str | None = None) -> int:
     # A counterexample (grid) would disprove the theorem; dump a reproducer.
     if args.json:
-        print(dumps_canonical({
+        _write_canonical({
             "ok": grid is None,
             "checked": checked,
             "rows": args.rows,
@@ -707,7 +698,7 @@ def _grid_report(args, checked: int, grid: Grid | None = None,
                 "problem": problem,
                 "grid": grid.entries,
             },
-        }), end="")
+        })
     elif grid is None:
         print(f"verified {checked} grids of shape {args.rows}x{args.cols}: ok")
     else:
@@ -829,11 +820,17 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), MAX_START_DIGITS))
     args = build_parser().parse_args(argv)
+    # Under `python -u` the text layer writes straight to the raw file and
+    # drops what a short write(2) leaves, so a closed pipe can cut a record
+    # short with exit 0.  A buffered layer writes the rest or raises.
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                          errors=sys.stdout.errors, closefd=False)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
         return code
-    except TooLargeError as exc:
+    except (TooLargeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -839,17 +839,28 @@ def test_grid_sort_over_long_entry_exits_2(capsys, tmp_path):
     assert err.startswith("error: line 1, column 1: integer has 260000 digits, above the limit")
 
 
-def test_output_into_a_pipe_closed_early_exits_1_quietly(tmp_path):
-    # `grid sort --mode bubble --trace | head -3`: the reader leaves after
-    # three lines, while a 40x40 trace prints about 5 MB as text and 20 MB
-    # as JSON
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_output_into_a_pipe_closed_early_exits_1_quietly(tmp_path, unbuffered):
+    # `... | head -3`: the reader leaves after three lines, while a 40x40
+    # trace prints about 5 MB as text and 20 MB as JSON, and a record of a
+    # 131,000-digit start 131-262 KB, more than a pipe holds.  Under
+    # PYTHONUNBUFFERED, stdout's text layer writes straight to the raw file
+    # and drops what a short write leaves unless the CLI buffers it.
     grid_file = random_grid_file(tmp_path / "g40.txt", 40, seed=40)
+    start = "12345678" * 16375
+    cache = ["--cache-dir", str(tmp_path / "cache")]
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    for extra, first_line in (([], b"# pass 1 merged rows 1,2\n"), (["--json"], b"{\n")):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    trace = ["grid", "sort", str(grid_file), "--mode", "bubble", "--trace"]
+    for argv, first_line in ((trace, b"# pass 1 merged rows 1,2\n"), ([*trace, "--json"], b"{\n"),
+                             (["traj", start, "--json"], b"{\n"),
+                             (["happy", start, "--json", *cache], b"{\n"),
+                             (["classify", start, "--json", *cache], b"{\n")):
         child = subprocess.Popen(
-            [sys.executable, "-m", "happygrid", "grid", "sort", str(grid_file), "--mode",
-             "bubble", "--trace", *extra], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": src})
+            [sys.executable, "-m", "happygrid", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src})
         try:
             head = [child.stdout.readline() for _ in range(3)]
             child.stdout.close()
@@ -857,8 +868,8 @@ def test_output_into_a_pipe_closed_early_exits_1_quietly(tmp_path):
         finally:
             child.wait(timeout=60)
         assert head[0] == first_line
-        assert child.returncode == 1, extra
-        assert err == b"", extra
+        assert child.returncode == 1, argv[0]
+        assert err == b"", argv[0]
 
 
 def test_text_trace_keeps_no_copies_of_its_snapshots(tmp_path):
@@ -875,6 +886,18 @@ def test_text_trace_keeps_no_copies_of_its_snapshots(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("argv", [["certify", "--max-steps", "10", "--json"], ["traj", "4"]],
+                         ids=["json", "text"])
+def test_output_into_a_string_buffer_is_what_capsys_sees(capsys, argv):
+    # perfbench's traced replay runs main with stdout redirected to a
+    # StringIO, which has no binary layer and no file descriptor
+    code, expected, _ = run_cli(capsys, *argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == code
+    assert out.getvalue() == expected and expected
 
 
 def test_json_trace_keeps_no_snapshots(tmp_path):
@@ -894,9 +917,22 @@ def test_json_trace_keeps_no_snapshots(tmp_path):
 
 
 def test_grid_sort_missing_file(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "grid", "sort", str(tmp_path / "nope.txt"))
-    assert code == 2
-    assert "error" in err
+    missing = tmp_path / "nope.txt"
+    code, out, err = run_cli(capsys, "grid", "sort", str(missing))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 2 3\n4 x 6\n", encoding="utf-8")
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "grid", "sort", str(bad), *extra)
+        assert code == 2 and out == ""
+        assert err == "error: line 2, column 3: not a decimal integer: 'x'\n"
+    # a file that is not UTF-8 is unreadable as text, not a crash
+    bad.write_bytes(b"1 2\n\xff 3\n")
+    code, out, err = run_cli(capsys, "grid", "sort", str(bad))
+    assert code == 2 and out == ""
+    assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 4: "
+                   "invalid start byte\n")
 
 
 def test_grid_verify_random(capsys):
@@ -1129,11 +1165,11 @@ def test_grid_verify_checks_the_real_width_in_every_block(capsys, monkeypatch, i
 
 
 def test_grid_verify_bad_range(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "grid", "verify", "--min", "5", "--max", "1", "--trials", "1"
     )
-    assert code == 2
-    assert "empty value range" in err
+    assert code == 2 and out == ""
+    assert err == "error: empty value range [5, 1]\n"
     # random.choices takes floor(random() * n) from a 53-bit float, which
     # draws every value of a range of at most 2**53 values
     widest = str(2**53 - 1)
