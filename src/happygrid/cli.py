@@ -18,6 +18,7 @@ import random
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
+from operator import le
 from pathlib import Path
 
 from . import __version__
@@ -46,7 +47,6 @@ from .gridsort import (
     bubble_column_sort,
     format_grid,
     is_cols_sorted,
-    is_rows_sorted,
     parse_grid,
     sort_cols,
     sort_rows,
@@ -67,27 +67,28 @@ MAX_EXHAUSTIVE_GRIDS = 10**6
 # `grid verify` checks at most this many cells in all, a cell counting once
 # per started block of 16 rows of its grid, since the bubble passes merge a
 # column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
-# are a single tall column and single cells: one 6928x1 grid takes 8.9 s
-# and 3*10**6 1x1 grids, checked in blocks, 7.8 s (Python 3.11, 2-vCPU
-# Xeon), so the largest request allowed takes about ten seconds.
+# are a single tall column and single cells: one 6928x1 grid takes 9-14 s,
+# by the host's load, and 3*10**6 1x1 grids, checked in blocks, 5.0-5.3 s
+# (Python 3.11, 2-vCPU Xeon), so the largest request allowed takes about
+# ten seconds.
 MAX_GRID_CELLS = 3 * 10**6
 
 # `grid verify` checks no grid of more cells than this.  Memory grows with
 # the largest grid, not with the cells in all: the verify path holds several
 # tuple copies of a grid, and single rows cost most, since each column
-# becomes a tuple of its own; the bubble passes add a rank table of the
-# grid's distinct values.  One 1x(10**5) grid peaks at 35 MB, 40 MB when
-# its entries are distinct, against 16 MB for a 1x1 grid, about 195-240
-# bytes a cell, and 1x(5*10**5) at 117 MB, 132 MB with distinct entries
-# (Python 3.11, 2-vCPU Xeon).
+# becomes a tuple of its own (a single row is never packed).  One 1x(10**5)
+# grid peaks at 36 MB, 38 MB when its entries are distinct, against 16 MB
+# for a 1x1 grid, about 205-225 bytes a cell, and 1x(5*10**5) at 120 MB,
+# 130 MB with distinct entries (Python 3.11, 2-vCPU Xeon).
 MAX_CELLS_PER_GRID = 10**5
 
 # `grid verify` checks grids in blocks of about this many cells, a few kernel
 # calls a block (see _check_grid).  Larger blocks spread each call's fixed
-# cost over more grids but keep more objects alive for the garbage collector
-# to scan.  An 8x8 grid costs 87 us alone, 45 us in blocks of 2048 cells and
-# 51 us in blocks of 8192, and a 3x3 grid 30, 10 and 10 us (medians of seven
-# in-process runs; Python 3.11, 2-vCPU Xeon).
+# cost over more grids, which gains nothing past this size.  An 8x8 grid
+# costs 158 us alone, 64 us in blocks of 2048 cells and 66 us in blocks of
+# 8192, and a 3x3 grid 60, 11 and 12 us (medians of seven in-process runs;
+# Python 3.11, 2-vCPU Xeon, a busy host).  With the garbage collector off,
+# blocks of 2048 take 63 and 10 us.
 BLOCK_CELLS = 2048
 
 # `grid sort --mode bubble --trace` prints at most this many snapshot cells,
@@ -100,12 +101,13 @@ MAX_TRACE_CELLS = 25 * 10**6
 
 # `grid sort --mode bubble` runs at most this much work, its n(n-1)/2 merges
 # counting 64 each plus one per column: neither merges nor cells alone track
-# the time.  A merge of packed rows costs 0.35-0.6 us at 1-30 columns, about
-# 2.9 us at 1000 columns of 16-bit fields and 5.8-7.6 us at 1000 columns of
-# 32-bit ones (over 32768 distinct entries), so a unit takes 2.7-9 ns: the
-# 6928x1 grid `grid verify` allows counts 1.56*10**9 units and takes 9-14 s,
-# a 1000x1000 grid 5.3*10**8 and 1.4-2.9 s, by field width (Python 3.11,
-# 2-vCPU Xeon).
+# the time.  A merge of packed rows costs 0.4-0.9 us at 1-30 columns, and at
+# 1000 columns 4.4 us of 16-bit fields, 5.4 us of 32-bit ones and 11.3 us of
+# 64-bit ones (entries spanning more than 2**31), so a unit takes 4-11 ns:
+# the 6928x1 grid `grid verify` allows counts 1.56*10**9 units and takes
+# 9-14 s, a 1000x1000 grid 5.3*10**8 and 2.9 s over [-1000, 1000], 9.5 s
+# over +-2**40, parsing and printing included (Python 3.11, 2-vCPU Xeon, a
+# busy host).
 MAX_BUBBLE_WORK = 16 * 10**8
 
 # `certify --p-max` scans the threshold inequality at most this far.  The
@@ -598,14 +600,15 @@ def _check_grid(stacked: Grid, rows: int | None = None) -> str | None:
 
     Rows never interact in a row sort, so the grids' rows are sorted stacked.
     Columns never interact in a column sort or a merge, so those run on the
-    grids laid side by side.  By default the stack is one grid, and a stack
-    of one grid laid side by side or stacked again is the grid itself.
+    grids laid side by side, and each row of the column-sorted wide grid is
+    checked pair by pair inside each grid's segment, never across one.  By
+    default the stack is one grid, and one grid laid side by side is itself.
     """
     rows = rows or stacked.rows
     final = sort_cols(_side_by_side(sort_rows(stacked).entries, rows))
-    restacked = Grid(tuple(itertools.chain.from_iterable(
-        zip(*[iter(row)] * stacked.cols) for row in final.entries)))
-    if not is_rows_sorted(restacked):
+    inside = (True,) * (stacked.cols - 1) + (False,)  # the pairs within a segment
+    if not all(all(itertools.compress(map(le, row, itertools.islice(row, 1, None)),
+                                      itertools.cycle(inside))) for row in final.entries):
         return "rows unsorted after row+column sort"
     if not is_cols_sorted(final):
         return "columns unsorted after column sort"
@@ -645,18 +648,23 @@ def cmd_grid_verify(args) -> int:
         raise TooLargeError(f"a grid of shape {shape} holds {brief(cells)} cells, "
                             f"above the limit of {MAX_CELLS_PER_GRID} per grid")
 
-    # each grid's cells in row-major order: every grid over the alphabet, or random draws
+    rows, cols, checked = args.rows, args.cols, 0
+    per_block = max(1, BLOCK_CELLS // cells)
+    # each block's cells, its grids one after another in row-major order:
+    # every grid over the alphabet, or one draw of the block's random cells,
+    # which takes the same random() calls as a draw per grid
     if args.exhaustive:
         generated = itertools.product(range(args.alphabet), repeat=cells)
+        blocks = iter(lambda: tuple(itertools.chain.from_iterable(
+            itertools.islice(generated, per_block))), ())
     else:
         rng = random.Random(args.seed)
         values = range(args.min, args.max + 1)
-        generated = (rng.choices(values, k=cells) for _ in range(args.trials))
-    rows, cols, checked = args.rows, args.cols, 0
-    per_block = max(1, BLOCK_CELLS // cells)
-    # the rows of a block's grids, stacked top to bottom
-    while stacked := tuple(zip(*[itertools.chain.from_iterable(
-            itertools.islice(generated, per_block))] * cols)):
+        blocks = (rng.choices(values, k=min(per_block, args.trials - done) * cells)
+                  for done in range(0, args.trials, per_block))
+    for block in blocks:
+        # the rows of the block's grids, stacked top to bottom
+        stacked = tuple(zip(*[iter(block)] * cols))
         # The first grid alone keeps the requested width under test, the rest
         # go as one stack; a failing block is checked again grid by grid.
         count = len(stacked) // rows

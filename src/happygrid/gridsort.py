@@ -9,10 +9,12 @@ one after the second, and so on for n - 1 passes).
 The lemma and the passes share one merge kernel, `_merge_packed`, which
 takes the columnwise min and max of two rows packed into one int each
 (Lamport, "Multiple byte processing with full-word instructions", CACM
-18(8), 1975).  The packing is exact for any integer entries: each entry
-becomes its rank among the grid's distinct values, a strictly increasing
-map, so it commutes with min and max, and the fields are wide enough to
-leave every field's top bit clear as a guard bit for the comparison.
+18(8), 1975).  The packing is exact for any integer entries: a field
+holds the entry less the grid's least entry, an order-preserving shift,
+and is wide enough to leave its top bit clear as a guard bit for the
+comparison.  Entries too wide for 64-bit fields are first replaced by
+their ranks among the grid's distinct values, a strictly increasing map,
+so min and max commute with it too.
 """
 
 from __future__ import annotations
@@ -75,40 +77,63 @@ class MergeStep(NamedTuple):
 
 _TOKEN = re.compile(r"\S+")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# a whole line of decimal integers, or a blank one: \s takes the characters
+# str.split() splits on, so the line's tokens are its split()
+_ROW = re.compile(r"\s*(?:[+-]?[0-9]+(?:\s+|\Z))*")
 
 
 def parse_grid(text: str) -> Grid:
     """Parse the grid text format: one row per line, whitespace-separated
-    decimal integers, blank lines ignored, all rows equally long."""
+    decimal integers, blank lines ignored, all rows equally long.
+
+    A line of integers is split and converted at once, equal entries sharing
+    one int; any other line, and a row of the wrong length, goes through
+    _parse_tokens, which names the offending line and column.
+    """
     rows: list[tuple[int, ...]] = []
     width: int | None = None
+    shared: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
-        if not tokens:
-            continue
-        row = []
-        for token, column in tokens:
-            if not _INTEGER.fullmatch(token):
-                # a long token by its length: the error stays one short line
-                shown = repr(token) if len(token) <= 30 else f"<{len(token)} characters>"
-                raise GridParseError(f"not a decimal integer: {shown}", lineno, column)
+        row = None
+        if _ROW.fullmatch(line):
             try:
-                row.append(int(token))
-            except ValueError:  # longer than the interpreter's int-string limit
-                raise GridParseError(f"integer has {len(token.lstrip('+-'))} digits, above "
-                                     f"the limit of {sys.get_int_max_str_digits()}",
-                                     lineno, column) from None
+                values = list(map(int, line.split()))
+            except ValueError:  # past the int-string limit
+                pass
+            else:
+                row = tuple(map(shared.setdefault, values, values))
+        if row is None or (row and width is not None and len(row) != width):
+            row = _parse_tokens(line, lineno, width)
+        if not row:
+            continue
         if width is None:
             width = len(row)
-        elif len(row) != width:
-            column = tokens[width][1] if len(row) > width else tokens[-1][1]
-            raise GridParseError(
-                f"row has {len(row)} entries, expected {width}", lineno, column
-            )
-        rows.append(tuple(row))
+        rows.append(row)
     if not rows:
         raise GridParseError("empty grid", 1, 1)
     return Grid(tuple(rows))
+
+
+def _parse_tokens(line: str, lineno: int, width: int | None) -> tuple[int, ...]:
+    """One line's row, token by token: a bad token, or a row of other than
+    `width` entries, raises GridParseError at its line and column."""
+    tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+    row = []
+    for token, column in tokens:
+        if not _INTEGER.fullmatch(token):
+            # a long token by its length: the error stays one short line
+            shown = repr(token) if len(token) <= 30 else f"<{len(token)} characters>"
+            raise GridParseError(f"not a decimal integer: {shown}", lineno, column)
+        try:
+            row.append(int(token))
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise GridParseError(f"integer has {len(token.lstrip('+-'))} digits, above "
+                                 f"the limit of {sys.get_int_max_str_digits()}",
+                                 lineno, column) from None
+    if row and width is not None and len(row) != width:
+        column = tokens[width][1] if len(row) > width else tokens[-1][1]
+        raise GridParseError(f"row has {len(row)} entries, expected {width}", lineno, column)
+    return tuple(row)
 
 
 def format_grid(g: Grid) -> str:
@@ -136,30 +161,54 @@ def is_cols_sorted(g: Grid) -> bool:
     return all(all(map(le, upper, lower)) for upper, lower in pairwise(g.entries))
 
 
+def _signed_code(lo: int, hi: int) -> str | None:
+    """The narrowest of the struct typecodes h, i and q that holds lo and hi
+    and whose top bit hi - lo leaves clear; None if none does."""
+    for code in "hiq":
+        half = 1 << 8 * struct.calcsize("<" + code) - 1
+        if -half <= lo and hi < half and hi - lo < half:
+            return code
+    return None
+
+
 def _rank_pack(rows) -> tuple[list[int], int, int, Callable[[int], tuple[int, ...]]]:
     """Pack equal-length rows of integers into ints of fixed-width fields.
 
-    Column j of a row is field j, holding the entry's rank among the
-    distinct values of all the rows.  The field is the narrowest of the
-    typecodes H, I and Q whose top bit no rank reaches.  Returns the packed
-    rows, the guard mask (the top bit of every field), the shift that moves
-    a guard bit to its field's lowest bit, and the function that unpacks a
-    packed row back into a tuple of entries.
+    Column j of a row is field j, holding the entry less the least entry of
+    all the rows: each row is packed through the signed typecode that
+    _signed_code picks, and one xor with the fields' top bits and one
+    subtraction turn every field's two's complement entry into that
+    difference, which leaves the top bit clear.  When the entries span
+    more than a q field allows, their ranks among the distinct values are
+    packed instead.  Returns the packed rows, the guard mask (the top bit
+    of every field), the shift that moves a guard bit to its field's lowest
+    bit, and the function that unpacks a packed row back into a tuple of
+    entries.
     """
-    values = sorted(set().union(*rows))
-    code = next(c for c in "HIQ" if len(values) <= 1 << (8 * struct.calcsize("<" + c) - 1))
+    width = len(rows[0])
+    lo, hi = min(map(min, rows)), max(map(max, rows))
+    code = _signed_code(lo, hi)
+    values = None
+    if code is None:
+        values = sorted(set().union(*rows))
+        rank = {v: i for i, v in enumerate(values)}
+        rows = [map(rank.__getitem__, row) for row in rows]
+        lo, hi = 0, len(values) - 1
+        code = _signed_code(lo, hi)
     shift = 8 * struct.calcsize("<" + code) - 1
     # struct rather than array: array("H") converts each item through a
     # generic argument parser, about 3x slower than struct.pack
-    fields = struct.Struct(f"<{len(rows[0])}{code}")
-    rank = {v: i for i, v in enumerate(values)}
-    packed = [int.from_bytes(fields.pack(*map(rank.__getitem__, row)), "little") for row in rows]
-    guards = int.from_bytes(fields.pack(*[1 << shift] * len(rows[0])), "little")
+    fields = struct.Struct(f"<{width}{code}")
+    sign = int.from_bytes(fields.pack(*[-1 << shift] * width), "little")
+    bias = int.from_bytes(fields.pack(*[lo] * width), "little") ^ sign
+    packed = [(int.from_bytes(fields.pack(*row), "little") ^ sign) - bias for row in rows]
 
     def unpack(row: int) -> tuple[int, ...]:
-        return tuple(map(values.__getitem__, fields.unpack(row.to_bytes(fields.size, "little"))))
+        return fields.unpack(((row + bias) ^ sign).to_bytes(fields.size, "little"))
 
-    return packed, guards, shift, unpack
+    if values is None:
+        return packed, sign, shift, unpack
+    return packed, sign, shift, lambda row: tuple(map(values.__getitem__, unpack(row)))
 
 
 def _merge_packed(a: int, b: int, guards: int, shift: int) -> tuple[int, int]:
@@ -186,6 +235,8 @@ def two_row_minmax(top, bottom) -> tuple[tuple[int, ...], tuple[int, ...]]:
     top, bottom = tuple(top), tuple(bottom)
     if len(top) != len(bottom):
         raise ValueError(f"row length mismatch: {len(top)} vs {len(bottom)}")
+    if not top:
+        return (), ()
     (a, b), guards, shift, unpack = _rank_pack((top, bottom))
     low, high = _merge_packed(a, b, guards, shift)
     return unpack(low), unpack(high)
@@ -207,9 +258,12 @@ def bubble_column_sort(g: Grid) -> tuple[Grid, int]:
     than the previous pass: after pass 1 the bottom row holds the column
     maxima and never moves again, after pass 2 the row above it, etc.
     Equals sort_cols on every input (per column this is bubble sort).
-    The rows are packed once, merged packed and unpacked once.
+    The rows are packed once, merged packed and unpacked once; one row
+    needs no merge and is not packed.
     Returns the sorted grid and the number of passes the merges ran, n - 1.
     """
+    if g.rows == 1:
+        return g, 0
     rows, guards, shift, unpack = _rank_pack(g.entries)
     passes = 0
     for passes, _ in _bubble_passes(rows, guards, shift):
@@ -221,8 +275,10 @@ def trace_bubble(g: Grid) -> Iterator[MergeStep]:
     """Yield a snapshot after every elementary merge of bubble_column_sort.
 
     Only the two merged rows are unpacked for a snapshot; it shares the
-    other rows with the previous one.
+    other rows with the previous one.  One row makes no merge and no snapshot.
     """
+    if g.rows == 1:
+        return
     rows = list(g.entries)
     packed, guards, shift, unpack = _rank_pack(rows)
     for k, i in _bubble_passes(packed, guards, shift):

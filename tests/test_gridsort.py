@@ -2,6 +2,7 @@ import random
 import sys
 from collections import Counter
 from itertools import islice, pairwise
+from operator import add
 
 import pytest
 from hypothesis import assume, given
@@ -110,8 +111,12 @@ def test_two_row_minmax_example():
         two_row_minmax((1, 2), (1, 2, 3))
 
 
+# the entries around the h, i and q fields' limits, where packing widens its
+# fields or, past q, packs ranks
+FIELD_EDGES = (-2**63, -2**31, -2**15, 2**15, 2**31, 2**63)
+edge_values = st.sampled_from(FIELD_EDGES).flatmap(lambda e: st.integers(e - 2, e + 1))
 # ties are likely among small values; big ints cross the machine-word size
-entry_values = st.integers(-3, 3) | st.integers(-2**70, 2**70)
+entry_values = st.integers(-3, 3) | st.integers(-2**70, 2**70) | edge_values
 row_pairs = st.integers(1, 9).flatmap(lambda p: st.tuples(
     st.lists(entry_values, min_size=p, max_size=p),
     st.lists(entry_values, min_size=p, max_size=p)))
@@ -191,6 +196,25 @@ def test_bubble_counts_the_passes_it_ran(monkeypatch):
     assert bubble_column_sort(g) == (g, g.rows - 2)
 
 
+def test_one_row_is_not_packed(monkeypatch):
+    packed = []
+    pack = gridsort._rank_pack
+
+    def counted(rows):
+        packed.append(len(rows))
+        return pack(rows)
+
+    monkeypatch.setattr(gridsort, "_rank_pack", counted)
+    row = Grid(((3, 1, 2**70),))
+    assert bubble_column_sort(row) == (row, 0)
+    assert list(trace_bubble(row)) == []
+    assert packed == []
+    two = Grid(((3, 1), (2, 4)))
+    assert bubble_column_sort(two) == (Grid(((2, 1), (3, 4))), 1)
+    assert len(list(trace_bubble(two))) == 1
+    assert packed == [2, 2]
+
+
 @given(pair=sorted_row_pairs)
 def test_two_row_lemma_preserves_sortedness(pair):
     top, bottom = pair
@@ -267,13 +291,25 @@ def _shuffled_grid(values, rows, rng):
 
 _rng = random.Random(18)
 PACKING_GRIDS = {
-    # 2**15 distinct values fill 16-bit fields, one more needs 32-bit ones
+    # 2**15 values from 0 fill 16-bit fields; 2**15 + 1 near -2**40 take 64-bit ones
     "2^15-distinct": _shuffled_grid(range(2**15), 2, _rng),
     "2^15+1-distinct": _shuffled_grid(range(-2**40, -2**40 + 3 * (2**15 + 1), 3), 3, _rng),
     "past-2^64-and-negative": _shuffled_grid(
         [2**64, 2**64 + 1, -2**64, -2**70, 2**70, 0, -1] * 3
         + [_rng.randint(-2**100, 2**100) for _ in range(21)], 6, _rng),
     "all-equal": Grid(((-2**65,) * 5,) * 4),
+    # each field's limits, one inside and one outside: 16-bit fields around
+    # 2**15 widen to 32 bits, 32-bit ones around 2**31 to 64, and 64-bit ones
+    # around 2**63 turn to ranks
+    **{f"edges-2^{bits}": _shuffled_grid([-2**bits - 1, -2**bits, 2**bits - 1, 2**bits] * 3, 4, _rng)
+       for bits in (15, 31, 63)},
+    # a span of 2**15 - 1 below zero fills 16-bit fields, 2**15 needs 32 bits
+    "span-2^15-1-negative": _shuffled_grid(
+        [-2**15, -1] + [_rng.randint(-2**15, -1) for _ in range(22)], 3, _rng),
+    "span-2^15-negative": _shuffled_grid(
+        [-2**14 - 1, 2**14 - 1] + [_rng.randint(-2**14, 2**14) for _ in range(22)], 3, _rng),
+    # a small span past 64 bits still goes through ranks
+    "near-2^70": _shuffled_grid([2**70 + _rng.randint(-9, 9) for _ in range(30)], 5, _rng),
     "one-row": _shuffled_grid(range(-9, 9), 1, _rng),
     "one-column": _shuffled_grid([_rng.randint(-2**66, 2**66) for _ in range(30)] * 2, 60, _rng),
 }
@@ -289,16 +325,34 @@ def test_packed_passes_match_the_references(name):
     assert (steps[-1][2] if steps else g.entries) == column_sorted
 
 
-@pytest.mark.parametrize("distinct, shift", [(2, 15), (2**15, 15), (2**15 + 1, 31)])
-def test_field_width_leaves_a_guard_bit(distinct, shift):
-    _, guards, chosen, _ = gridsort._rank_pack([range(distinct), range(distinct)])
+FIELD_WIDTHS = [
+    (0, 2, 15), (0, 2**15, 15), (0, 2**15 + 1, 31),
+    # a negative least entry: the span, not the entries' size, sets the width
+    (-2**15, 2**15, 15), (-2**15, 2**15 + 1, 31), (-7, 2**15, 15), (-7, 2**15 + 1, 31),
+    (-2**31, 2, 31), (-2**31 - 1, 2, 63), (-2**63, 2, 63),
+    # an entry past a field's largest value widens it whatever the span
+    (2**15 - 1, 1, 15), (2**15, 1, 31), (2**31, 1, 63),
+    # past 64 bits the fields hold ranks
+    (2**63, 1, 15), (-2**63 - 1, 2, 15), (2**70, 2**15 + 1, 31),
+]
+
+
+@pytest.mark.parametrize("lo, distinct, shift", FIELD_WIDTHS, ids=[
+    f"{distinct}-{shift}" if lo == 0 else f"{lo}-{distinct}-{shift}"
+    for lo, distinct, shift in FIELD_WIDTHS])
+def test_field_width_leaves_a_guard_bit(lo, distinct, shift):
+    row = range(lo, lo + distinct)
+    packed, guards, chosen, unpack = gridsort._rank_pack([row, row])
     assert chosen == shift
     field = 1 << (shift + 1)
     assert guards == ((field ** distinct - 1) // (field - 1)) << shift  # every field's top bit
+    assert packed[0] & guards == 0 and unpack(packed[0]) == tuple(row)
 
 
 @given(g=grids(max_rows=6, max_cols=6, lo=-3, hi=3)
-       | grids(max_rows=6, max_cols=6, lo=-2**70, hi=2**70))
+       | grids(max_rows=6, max_cols=6, lo=-2**70, hi=2**70)
+       | st.sampled_from(FIELD_EDGES).flatmap(
+           lambda edge: grids(max_rows=6, max_cols=6, lo=edge - 2, hi=edge + 1)))
 def test_trace_matches_the_tuple_reference(g):
     steps = [(s.pass_no, s.top_row, s.grid.entries) for s in trace_bubble(g)]
     assert steps == list(_reference_trace(g.entries))
@@ -366,3 +420,68 @@ def test_parse_refuses_entries_past_the_int_string_limit():
         assert (signed.value.line, signed.value.column) == (2, 3)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# --- the split parser against the token loop --------------------------------
+
+# \s and str.split() take the same characters, str.isspace()'s 29 on 3.11
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+# decimal integers with signs and leading zeros, and tokens that are not
+DECIMALS = st.from_regex(r"[+-]?0{0,2}[0-9]{1,3}", fullmatch=True) | st.sampled_from(
+    ["-0", "+0", "007", str(2**70), str(-2**70)])
+NOT_DECIMALS = st.sampled_from(["1_0", "\uff14", "4.5", "12+3", "+", "-", "x", "\u0663", "+-1"])
+
+
+def _token_loop_parse(text):
+    """parse_grid with every line through the token loop."""
+    rows, width = [], None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        row = gridsort._parse_tokens(line, lineno, width)
+        if row:
+            width = width or len(row)
+            rows.append(row)
+    if not rows:
+        raise GridParseError("empty grid", 1, 1)
+    return Grid(tuple(rows))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).entries
+    except GridParseError as error:
+        return str(error), error.line, error.column
+
+
+@st.composite
+def grid_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        count = draw(st.sampled_from([0, width, width, width, width + 1, max(0, width - 1)]))
+        tokens = draw(st.lists(DECIMALS | NOT_DECIMALS if draw(st.booleans()) else DECIMALS,
+                               min_size=count, max_size=count))
+        # each token followed by whitespace, none at times: two tokens then run together
+        gaps = draw(st.lists(st.text(WHITESPACE, max_size=2), min_size=count, max_size=count))
+        lines.append(draw(st.text(WHITESPACE, max_size=2)) + "".join(map(add, tokens, gaps)))
+    return draw(st.sampled_from(["\n", "\r\n", "\u2028"])).join(lines)
+
+
+@given(text=grid_texts())
+def test_parse_matches_the_token_loop(text):
+    assert _outcome(parse_grid, text) == _outcome(_token_loop_parse, text)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff14", "4.5", "12+3", "+"])
+def test_parse_names_a_token_that_is_not_decimal(token):
+    # int() would take the first two; the row regex sends all five to the token loop
+    with pytest.raises(GridParseError) as bad:
+        parse_grid(f"1 2\n\n 3\u3000{token} \n")
+    assert str(bad.value) == f"line 3, column 4: not a decimal integer: {token!r}"
+    assert (bad.value.line, bad.value.column) == (3, 4)
+
+
+def test_parse_shares_equal_entries():
+    g = parse_grid(f"{10**30} -{10**30} 7\n-{10**30} 0{10**30} 7\n")
+    big = g.entries[0][0]
+    assert g.entries == ((10**30, -10**30, 7), (-10**30, 10**30, 7))
+    assert g.entries[1][1] is big and g.entries[0][1] is g.entries[1][0]
