@@ -44,8 +44,10 @@ from .dynamics import BudgetExceededError, Cycle, classify, step_until_repeat
 from .gridsort import (
     Grid,
     GridParseError,
+    MergeStep,
     bubble_column_sort,
     format_grid,
+    format_row,
     is_cols_sorted,
     parse_grid,
     sort_cols,
@@ -60,18 +62,18 @@ EXIT_USAGE = 2
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 
 # `grid verify --exhaustive` checks at most this many grids.  The 3^9 3x3
-# grids take 0.2 s and the 10**6 1x3 grids over 100 values 3.2 s
+# grids take 0.2 s and the 10**6 1x2 grids over 1000 values 2.8-3.1 s
 # (Python 3.11, 2-vCPU Xeon).
 MAX_EXHAUSTIVE_GRIDS = 10**6
 
 # `grid verify` checks at most this many cells in all, a cell counting once
 # per started block of 16 rows of its grid, since the bubble passes merge a
 # column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
-# are a single tall column and single cells: one 6928x1 grid takes 9-14 s,
-# by the host's load, and 3*10**6 1x1 grids, checked in blocks, 5.0-5.3 s
-# (Python 3.11, 2-vCPU Xeon), so the largest request allowed takes about
-# ten seconds.
-MAX_GRID_CELLS = 3 * 10**6
+# are a single tall column and single cells: the largest column allowed,
+# 5649x1, takes 8.7-10.5 s, by the host's load, and 2*10**6 1x1 grids,
+# checked in blocks, 3.5-4.3 s (Python 3.11, 2-vCPU Xeon, as subprocesses),
+# so the largest request allowed takes about ten seconds.
+MAX_GRID_CELLS = 2 * 10**6
 
 # `grid verify` checks no grid of more cells than this.  Memory grows with
 # the largest grid, not with the cells in all: the verify path holds several
@@ -92,23 +94,27 @@ MAX_CELLS_PER_GRID = 10**5
 BLOCK_CELLS = 2048
 
 # `grid sort --mode bubble --trace` prints at most this many snapshot cells,
-# n(n-1)/2 snapshots of n x p cells, which its time and output size follow;
-# each snapshot is written as it is made, so memory does not.  An 80x80
-# trace's 2.02*10**7 cells take 2.6-3.9 s and 89 MB as text and 3.8-5.0 s
-# and 317 MB as JSON, both at 16 MB peak RSS (Python 3.11, 2-vCPU Xeon).
-# A 180x180 trace, 5.2*10**8 cells, would write about 8 GB of JSON.
+# n(n-1)/2 snapshots of n x p cells, which bound its output size: an 80x80
+# trace's 2.02*10**7 cells write 89 MB as text and 317 MB as JSON, and a
+# 180x180 trace, 5.2*10**8 cells, would write about 8 GB of JSON.  Each
+# snapshot is written as it is made, from row texts kept across the trace
+# (see _rendered_trace), so memory stays flat and time stays small: the
+# 80x80 trace takes 0.25-0.27 s as text and 0.41-0.42 s as JSON into
+# /dev/null, at 16 MB peak RSS (Python 3.11, 2-vCPU Xeon, as subprocesses).
 MAX_TRACE_CELLS = 25 * 10**6
 
 # `grid sort --mode bubble` runs at most this much work, its n(n-1)/2 merges
 # counting 64 each plus one per column: neither merges nor cells alone track
 # the time.  A merge of packed rows costs 0.4-0.9 us at 1-30 columns, and at
 # 1000 columns 4.4 us of 16-bit fields, 5.4 us of 32-bit ones and 11.3 us of
-# 64-bit ones (entries spanning more than 2**31), so a unit takes 4-11 ns:
-# the 6928x1 grid `grid verify` allows counts 1.56*10**9 units and takes
-# 9-14 s, a 1000x1000 grid 5.3*10**8 and 2.9 s over [-1000, 1000], 9.5 s
-# over +-2**40, parsing and printing included (Python 3.11, 2-vCPU Xeon, a
-# busy host).
-MAX_BUBBLE_WORK = 16 * 10**8
+# 64-bit ones (entries spanning more than 2**31), so a unit takes 4-11 ns.
+# The 5649x1 grid `grid verify` allows counts 1.04*10**9 units and takes
+# 8.5-11.2 s, the largest column allowed, 5818x1, 9.6-11.8 s, and a
+# 1000x1000 grid 5.3*10**8 units and 2.9 s over [-1000, 1000], 9.5 s over
+# +-2**40; the costliest, 64-bit fields, reach 15.8 s at 1438x1000 over
+# +-2**40, parsing and printing included (Python 3.11, 2-vCPU Xeon, as
+# subprocesses).
+MAX_BUBBLE_WORK = 11 * 10**8
 
 # `certify --p-max` scans the threshold inequality at most this far.  The
 # scan multiplies a running base**(p - 1) by the base once per p, so it grows
@@ -203,10 +209,10 @@ def dumps_canonical(record: dict) -> str:
 def _write_canonical(record: dict) -> None:
     """Write dumps_canonical(record) to stdout; every `--json` record goes out here.
 
-    An iterator value is written as a list, each item rendered and written as it
-    is made, so a long trace is never held whole.  Indenting a rendered
-    value to its depth is exact: a canonical record holds no raw newline
-    inside a string.
+    An iterator value is written as a list, each item rendered at its depth
+    and written as it is made, so a long trace is never held whole.
+    Indenting a rendered value to its depth is exact: a canonical record
+    holds no raw newline inside a string.
     """
     write = sys.stdout.write
     lead = "{"
@@ -218,10 +224,15 @@ def _write_canonical(record: dict) -> None:
             continue
         opening = "["
         for item in value:
-            write(opening + "\n    " + dumps_canonical(item)[:-1].replace("\n", "\n    "))
+            write(opening + "\n    " + _render(item, "\n    "))
             opening = ","
         write("[]" if opening == "[" else "\n  ]")
     write("\n}\n")
+
+
+class _Json(str):
+    """Canonical JSON text rendered at the depth where it is written: _render
+    copies it as it is."""
 
 
 def _render(value, newline: str) -> str:
@@ -229,6 +240,8 @@ def _render(value, newline: str) -> str:
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
+    if kind is _Json:
+        return value
     if kind is int:
         return repr(value)
     if kind is bool or value is None:
@@ -239,7 +252,8 @@ def _render(value, newline: str) -> str:
             encode_basestring_ascii(key) + ": " + _render(item, inner)
             for key, item in sorted(value.items())) + newline + "}"
     if (kind is list or kind is tuple) and value:
-        items = (map(repr, value) if set(map(type, value)) == {int}
+        kinds = set(map(type, value))
+        items = (map(repr, value) if kinds == {int} else value if kinds == {_Json}
                  else (_render(item, inner) for item in value))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     # floats, empty containers, other keys and types: the stdlib, indented to
@@ -578,20 +592,40 @@ def cmd_grid_sort(args) -> int:
         sorted_grid, record["pass_count"] = bubble_column_sort(grid)
         outputs = [sorted_grid]
         if args.trace:
-            steps = trace_bubble(grid)
-            record["trace"] = ({"pass": step.pass_no, "top_row": step.top_row,
-                                "grid": step.grid.entries} for step in steps)
+            steps = _rendered_trace(grid, _json_row if args.json else format_row)
+            record["trace"] = ({"pass": step.pass_no, "top_row": step.top_row, "grid": rows}
+                               for step, rows in steps)
     record["output"] = outputs[-1].entries
 
     if args.json:
         _write_canonical(record)
         return EXIT_OK
-    for step in steps:
+    for step, rows in steps:
         print(f"# pass {step.pass_no} merged rows {step.top_row + 1},{step.top_row + 2}")
-        print(format_grid(step.grid))
+        print("\n".join(rows))
         print()
     print("\n\n".join(format_grid(g) for g in outputs))
     return EXIT_OK
+
+
+def _json_row(row) -> _Json:
+    # a row of a trace snapshot is written four levels deep: in the record,
+    # the trace list, the snapshot and its grid list
+    return _Json(dumps_canonical(row)[:-1].replace("\n", "\n        "))
+
+
+def _rendered_trace(grid: Grid, render_row) -> Iterator[tuple[MergeStep, list]]:
+    """Each step of trace_bubble(grid) with its grid's rows rendered by render_row.
+
+    A merge changes only its two rows, so one list of row texts serves the
+    whole trace: each step renders those two again and keeps the rest.  The
+    list is the same object at every step, to be written before the next.
+    """
+    texts = list(map(render_row, grid.entries))
+    for step in trace_bubble(grid):
+        i = step.top_row
+        texts[i:i + 2] = map(render_row, step.grid.entries[i:i + 2])
+        yield step, texts
 
 
 def _check_grid(stacked: Grid, rows: int | None = None) -> str | None:

@@ -77,17 +77,15 @@ class MergeStep(NamedTuple):
 
 _TOKEN = re.compile(r"\S+")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# a whole line of decimal integers, or a blank one: \s takes the characters
-# str.split() splits on, so the line's tokens are its split()
-_ROW = re.compile(r"\s*(?:[+-]?[0-9]+(?:\s+|\Z))*")
 
 
 def parse_grid(text: str) -> Grid:
     """Parse the grid text format: one row per line, whitespace-separated
     decimal integers, blank lines ignored, all rows equally long.
 
-    A line of integers is split and converted at once, equal entries sharing
-    one int; any other line, and a row of the wrong length, goes through
+    A line is split and converted at once, equal entries sharing one int.
+    int() also takes underscores and non-ASCII digits, so a line holding
+    either, a line int() refuses, and a row of the wrong length go through
     _parse_tokens, which names the offending line and column.
     """
     rows: list[tuple[int, ...]] = []
@@ -95,10 +93,10 @@ def parse_grid(text: str) -> Grid:
     shared: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         row = None
-        if _ROW.fullmatch(line):
+        if line.isascii() and "_" not in line:
             try:
                 values = list(map(int, line.split()))
-            except ValueError:  # past the int-string limit
+            except ValueError:  # not an integer, or past the int-string limit
                 pass
             else:
                 row = tuple(map(shared.setdefault, values, values))
@@ -136,9 +134,14 @@ def _parse_tokens(line: str, lineno: int, width: int | None) -> tuple[int, ...]:
     return tuple(row)
 
 
+def format_row(row) -> str:
+    """One row of the text format."""
+    return " ".join(map(str, row))
+
+
 def format_grid(g: Grid) -> str:
     """Render a grid back into the text format (no trailing newline)."""
-    return "\n".join(" ".join(str(x) for x in row) for row in g.entries)
+    return "\n".join(map(format_row, g.entries))
 
 
 def sort_rows(g: Grid) -> Grid:

@@ -547,7 +547,7 @@ def test_certify_refuses_a_large_bound_before_any_stage(capsys, monkeypatch):
      "above the limit of 9007199254740992\n"),
     (["grid", "verify", "--rows", "5" * 40, "--trials", "1"],
      "error: 1 grids of shape <40 digits>x3 count <79 digits> cells, above the limit of "
-     "3000000 (a cell counts once per 16 rows)\n"),
+     "2000000 (a cell counts once per 16 rows)\n"),
 ], ids=lambda value: " ".join(value)[:40] if isinstance(value, list) else "")
 def test_refusals_show_long_numbers_by_digit_count(capsys, tmp_path, argv, err):
     if argv[0] == "classify":
@@ -677,12 +677,42 @@ def test_grid_sort_bubble_matches_cols(capsys, monkeypatch):
     assert bubble["pass_count"] == 2
 
 
-def test_grid_sort_trace(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED_GRID))
-    code, out, _ = run_cli(capsys, "grid", "sort", "--mode", "bubble", "--trace")
-    assert code == 0
-    assert "# pass 1 merged rows 1,2" in out
-    assert "# pass 2 merged rows 1,2" in out
+# grid shapes for the trace tests; "rank" holds entries beyond +-2**63, with
+# ties, which are packed by their ranks and unpacked through a rank table
+TRACE_SHAPES = ["1x4", "5x1", "3x5-ties", "28x28", "rank"]
+
+
+def shape_file(tmp_path: Path, shape: str) -> Path:
+    grid_file = tmp_path / "g.txt"
+    if shape == "28x28":
+        return random_grid_file(grid_file, 28, seed=28)
+    if shape == "rank":
+        rng = random.Random(70)
+        values = [sign * 2**70 + d for sign in (-1, 1) for d in range(-2, 3)]
+        text = "\n".join(" ".join(str(rng.choice(values)) for _ in range(5))
+                         for _ in range(7)) + "\n"
+    else:
+        text = {"1x4": "5 3 9 1\n", "5x1": "5\n3\n9\n3\n1\n", "3x5-ties": WORKED_GRID}[shape]
+    grid_file.write_text(text, encoding="utf-8")
+    return grid_file
+
+
+def test_grid_sort_trace(capsys, tmp_path):
+    # every snapshot whole, as format_grid prints it: a row kept from an
+    # earlier snapshot that has since changed would show
+    for shape in TRACE_SHAPES:
+        grid_file = shape_file(tmp_path, shape)
+        g = gridsort.parse_grid(grid_file.read_text(encoding="utf-8"))
+        expected = "".join(f"# pass {step.pass_no} merged rows {step.top_row + 1},"
+                           f"{step.top_row + 2}\n{format_grid(step.grid)}\n\n"
+                           for step in gridsort.trace_bubble(g))
+        expected += format_grid(gridsort.sort_cols(g)) + "\n"
+        code, out, err = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "bubble",
+                                 "--trace")
+        assert code == 0 and err == ""
+        # by lines, so that a failure names the first line that differs, fast
+        assert out.split("\n") == expected.split("\n"), shape
+    assert expected.count("# pass ") == 7 * 6 // 2  # the rank grid's merges
 
 
 @pytest.mark.parametrize("text", [WORKED_GRID, "5 3 9 1\n"], ids=["worked", "one-row"])
@@ -741,21 +771,17 @@ def sort_record(g: Grid, mode: str, trace: bool) -> dict:
     return record
 
 
-@pytest.mark.parametrize("shape", ["1x4", "5x1", "3x5-ties", "28x28"])
+@pytest.mark.parametrize("shape", TRACE_SHAPES)
 def test_grid_sort_json_streams_the_canonical_record(capsys, tmp_path, shape):
-    if shape == "28x28":
-        grid_file = random_grid_file(tmp_path / "g.txt", 28, seed=28)
-    else:
-        text = {"1x4": "5 3 9 1\n", "5x1": "5\n3\n9\n3\n1\n", "3x5-ties": WORKED_GRID}[shape]
-        grid_file = tmp_path / "g.txt"
-        grid_file.write_text(text, encoding="utf-8")
+    grid_file = shape_file(tmp_path, shape)
     g = gridsort.parse_grid(grid_file.read_text(encoding="utf-8"))
     for mode, trace in (("rows", False), ("cols", False), ("both", False), ("bubble", False),
                         ("bubble", True)):
         code, out, err = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", mode,
                                  "--json", *(["--trace"] if trace else []))
         assert code == 0 and err == ""
-        assert out == cli.dumps_canonical(sort_record(g, mode, trace)), (mode, trace)
+        expected = cli.dumps_canonical(sort_record(g, mode, trace))
+        assert out.split("\n") == expected.split("\n"), (mode, trace)  # as in test_grid_sort_trace
     if shape == "1x4":
         assert json.loads(out)["trace"] == []
 
@@ -796,9 +822,11 @@ def test_grid_sort_trace_refuses_too_many_snapshot_cells(capsys, monkeypatch, tm
 
 def test_grid_sort_bubble_refuses_too_much_work(capsys, monkeypatch, tmp_path):
     # the cap admits the 180x180 sort the benchmark runs, the 200x200 and
-    # 80x80 ones CI runs and the 6928x1 grid that grid verify allows
-    for n, p in ((180, 180), (200, 200), (80, 80), (6928, 1)):
+    # 80x80 ones CI runs and the 5649x1 grid that grid verify allows
+    for n, p in ((180, 180), (200, 200), (80, 80), (5649, 1)):
         assert n * (n - 1) // 2 * (64 + p) <= cli.MAX_BUBBLE_WORK
+    # 5649x1 is the tallest column grid verify allows, a cell counting once per 16 rows
+    assert 5649 * 354 <= cli.MAX_GRID_CELLS < 5650 * 354
 
     def no_merge(*args):
         raise AssertionError("merged before refusing")
@@ -1001,7 +1029,7 @@ def test_grid_verify_refuses_too_many_cells(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "grid", "verify", *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "above the limit of 3000000" in err
+    assert err.startswith("error: ") and "above the limit of 2000000" in err
     assert time.perf_counter() - start < 1.0
 
 
@@ -1015,7 +1043,7 @@ def test_grid_verify_cell_limit_per_grid(capsys, monkeypatch):
         assert code == 2 and out == "" and "holds 7 cells" in err
     # each is under the cap on cells in all, and refused before a grid is built
     for argv in (["--trials", "1", "--rows", "1", "--cols", "100001"],
-                 ["--exhaustive", "--alphabet", "1", "--rows", "317", "--cols", "316"]):
+                 ["--exhaustive", "--alphabet", "1", "--rows", "304", "--cols", "330"]):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "grid", "verify", *argv)
         assert code == 2 and out == ""

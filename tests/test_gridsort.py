@@ -473,7 +473,8 @@ def test_parse_matches_the_token_loop(text):
 
 @pytest.mark.parametrize("token", ["1_0", "\uff14", "4.5", "12+3", "+"])
 def test_parse_names_a_token_that_is_not_decimal(token):
-    # int() would take the first two; the row regex sends all five to the token loop
+    # int() would take the first two, so a line with an underscore or a non-ASCII
+    # character goes to the token loop, as does one int() refuses: all five do
     with pytest.raises(GridParseError) as bad:
         parse_grid(f"1 2\n\n 3\u3000{token} \n")
     assert str(bad.value) == f"line 3, column 4: not a decimal integer: {token!r}"
