@@ -16,15 +16,15 @@ B = b^k - 1 with k = p0 - 1 is decided in one place, `brute_bound(sys)`,
 and every stage takes the system alone: [0, B] is exactly the set of
 k-digit strings, leading zeros included, and f depends only on a string's
 digit multiset.  Stage 2 and the checker therefore read the C(k+b-1, b-1)
-digit multisets of [0, B], evaluated once per process, instead of its B + 1
-values: each multiset's image, and the number of values it stands for.
-Stage 3 reads no multisets: f([0, B]) is the set of sums of k digit
-powers, and enumeration walks that set alone.  `verify_range` checks an
-atlas independently, by one breadth-first search backwards from the atlas
-members over that image set, which gives the exact number of steps from
-every value to the atlas.  Sub-ranges, values above B and any failure
-visit the values in order, which names the least failing value.  No table
-of the map over [0, B] is built.
+digit multisets of [0, B], once per process, instead of its B + 1 values:
+each multiset's image, the sum of f over its digits, and the number of
+values it stands for.  Stage 3 reads no multisets: f([0, B]) is the set
+of sums of k powers d**e, and enumeration walks that set alone.
+`verify_range` checks an atlas independently, by one breadth-first search
+backwards from the atlas members over that image set, which gives the
+exact number of steps from every value to the atlas.  Sub-ranges, values
+above B and any failure visit the values in order, which names the least
+failing value.  No table of the map over [0, B] is built.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .dynamics import Cycle, canonicalize_cycle
 
 # The most values one verified range or one atlas may cover.  (10, 6) has
 # B + 1 = 10**7.  `certify --exp 6` reads its 11,440 digit multisets and
-# takes 0.15-0.3 s with a peak RSS of 19 MB, but a check that visits all
+# takes 0.12-0.23 s with a peak RSS of 19 MB, but a check that visits all
 # 10**7 values one by one, a sub-range or a failure at a large n, takes
 # 3.5-5.8 s (Python 3.11, 2-vCPU Xeon).  The atlas keeps this cap until one
 # on the multiset count is measured.
@@ -228,7 +228,7 @@ def threshold_inequality_check(sys: DigitSystem, p_max: int) -> ThresholdReport:
 # A few systems are kept, so a process that certifies several in turn finds
 # each one's counts again whatever the order: with one kept, how often the
 # map ran depended on which system came last.  An entry holds at most one
-# image per multiset: 1.2 MB at (10,6), 6.6 MB at (36,3).
+# image per multiset: 1.9 MB at (10,6), 6.6 MB at (36,3) (tracemalloc).
 @lru_cache(maxsize=8)
 def _image_counts(sys: DigitSystem) -> tuple[dict[int, int], dict[int, list[int]], int]:
     """f over [0, B]: image counts, preimages and the largest image.
@@ -237,11 +237,13 @@ def _image_counts(sys: DigitSystem) -> tuple[dict[int, int], dict[int, list[int]
     the preimages map a value to the images whose image it is, so the image
     set S = f([0, B]) is all this function knows.  B = b^k - 1, so [0, B] is
     exactly the set of k-digit strings, leading zeros included, and f
-    depends only on a string's multiset of digits: each of the
-    C(k+b-1, b-1) multisets is evaluated once, by digit_power_sum on its
-    least arrangement, and stands for its multinomial number of arrangements
-    (the combination search of Deimel & Jones, J. Recreational Math. 14,
-    1981-82).  The results are kept for every stage to share: do not mutate
+    depends only on a string's multiset of digits.  The map is taken once on
+    each digit, and d -> d^e is one-to-one on digits, so each of the
+    C(k+b-1, b-1) multisets of those b powers stands for one digit multiset:
+    its image is its sum, and it counts its multinomial number of
+    arrangements (the combination search of Deimel & Jones, J. Recreational
+    Math. 14, 1981-82).  The map still runs on every image, for the
+    preimages.  The results are kept for every stage to share: do not mutate
     them.
     """
     check_bound_size(sys)
@@ -249,15 +251,13 @@ def _image_counts(sys: DigitSystem) -> tuple[dict[int, int], dict[int, list[int]
     bound = brute_bound(sys)
     digits = digit_count(bound, sys)
     factorials = [factorial(i) for i in range(digits + 1)]
+    powers = [digit_power_sum(d, sys) for d in range(base)]
     counts: dict[int, int] = {}
-    for multiset in combinations_with_replacement(range(base), digits):
-        least = 0
-        for d in multiset:
-            least = least * base + d
+    for multiset in combinations_with_replacement(powers, digits):
         arrangements = factorials[digits]
-        for d in set(multiset):
-            arrangements //= factorials[multiset.count(d)]
-        image = digit_power_sum(least, sys)
+        for power in set(multiset):
+            arrangements //= factorials[multiset.count(power)]
+        image = sum(multiset)
         counts[image] = counts.get(image, 0) + arrangements
     total = sum(counts.values())
     if total != bound + 1:

@@ -13,10 +13,6 @@ from typing import NamedTuple
 # _chunks into chunks below 2**_LEAF_BITS (two 30-bit limbs).
 _SPLIT_ABOVE = 1 << 1024
 _LEAF_BITS = 60
-# Certification maps millions of small values.  Comparing them first with a
-# one-limb constant takes the interpreter's fast int compare, so the size
-# test costs them nothing.
-_ONE_LIMB = 2**30 - 1
 
 
 class _DigitSystemFields(NamedTuple):
@@ -82,7 +78,7 @@ def digit_power_sum(n: int, sys: DigitSystem) -> int:
     total = 0
     # n < base is a single digit: a base of over _LEAF_BITS bits has such
     # chunks, and they go to the loop even above the cutoff.
-    if n > _ONE_LIMB and n >= _SPLIT_ABOVE and n >= sys.base:
+    if n >= _SPLIT_ABOVE and n >= sys.base:
         # A loop, not sum() over a generator, which would close over sys
         # and so slow down every call.
         for chunk in _chunks(n, sys.base):

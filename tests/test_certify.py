@@ -107,7 +107,7 @@ def test_forward_invariance_exhaustive(base, exponent):
 
 
 # systems whose image counts and checker are compared value by value with the map
-TABLE_SYSTEMS = [(10, 2), (10, 3), (7, 5), (2, 1), (3, 3), (12, 3)]
+TABLE_SYSTEMS = [(10, 2), (10, 3), (7, 5), (2, 1), (3, 3), (12, 3), (10, 1), (36, 2)]
 
 
 def without_attractor(atlas, identifier):
@@ -142,6 +142,43 @@ def test_image_counts_must_cover_every_value(squares, monkeypatch):
     monkeypatch.setattr(certify, "factorial", lambda i: 1)
     with pytest.raises(CertificationError, match=r"counts of \[0, 999\] add up to 220 "):
         forward_invariance_scan(squares)
+
+
+@pytest.mark.parametrize("base,exponent", TABLE_SYSTEMS, ids=str)
+def test_image_counts_map_each_digit_and_image_once(base, exponent, monkeypatch):
+    # a multiset's image is the sum of its digits' powers: the map runs on
+    # each digit and, for the preimages, on each image, never per multiset
+    system = DigitSystem(base, exponent)
+    calls = []
+
+    def counted(n, sys):
+        calls.append(n)
+        return digit_power_sum(n, sys)
+
+    certify._image_counts.cache_clear()
+    monkeypatch.setattr(certify, "digit_power_sum", counted)
+    counts = _image_counts(system)[0]
+    assert len(calls) <= base + len(counts)
+
+
+@pytest.mark.parametrize("base,exponent", [(10, 2), (7, 5), (36, 2)], ids=str)
+def test_checker_and_enumeration_share_no_image_set(base, exponent, monkeypatch):
+    # the checker takes S from digit multisets, enumeration from sums of d**e:
+    # each runs with the other's source of S broken
+    system = DigitSystem(base, exponent)
+    atlas = enumerate_attractors(system)
+
+    def broken(*args):
+        raise AssertionError("the other stage's image set was used")
+
+    certify._image_counts.cache_clear()
+    monkeypatch.setattr(certify, "_digit_power_sums", broken)
+    validate_atlas(atlas)
+    with pytest.raises(AssertionError, match="other stage"):
+        enumerate_attractors(system)
+    monkeypatch.undo()
+    monkeypatch.setattr(certify, "_image_counts", broken)
+    assert enumerate_attractors(system) == atlas
 
 
 def walked_range(atlas, lo, hi, budget):
