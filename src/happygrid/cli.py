@@ -16,10 +16,12 @@ import json
 import os
 import random
 import sys
+from collections import deque
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from operator import le
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .certify import (
@@ -62,17 +64,19 @@ EXIT_USAGE = 2
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 
 # `grid verify --exhaustive` checks at most this many grids.  The 3^9 3x3
-# grids take 0.2 s and the 10**6 1x2 grids over 1000 values 2.8-3.1 s
-# (Python 3.11, 2-vCPU Xeon).
+# grids take 0.22 s on one CPU and 0.16 s on two, and the 10**6 1x2 grids
+# over 1000 values 2.0-2.3 s on one CPU and 1.0-1.1 s on two (Python 3.11,
+# 2-vCPU Xeon, as subprocesses).
 MAX_EXHAUSTIVE_GRIDS = 10**6
 
 # `grid verify` checks at most this many cells in all, a cell counting once
 # per started block of 16 rows of its grid, since the bubble passes merge a
 # column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
 # are a single tall column and single cells: the largest column allowed,
-# 5649x1, takes 8.7-10.5 s, by the host's load, and 2*10**6 1x1 grids,
-# checked in blocks, 3.5-4.3 s (Python 3.11, 2-vCPU Xeon, as subprocesses),
-# so the largest request allowed takes about ten seconds.
+# 5649x1, one grid and so one share, takes 5.6-6.2 s on one CPU or two
+# (8.7-10.5 s on a busier host), and 2*10**6 1x1 grids, checked in blocks,
+# 2.4-3.1 s on one CPU and 1.3-1.7 s on two (Python 3.11, 2-vCPU Xeon, as
+# subprocesses), so the largest request allowed takes about ten seconds.
 MAX_GRID_CELLS = 2 * 10**6
 
 # `grid verify` checks no grid of more cells than this.  Memory grows with
@@ -86,12 +90,21 @@ MAX_CELLS_PER_GRID = 10**5
 
 # `grid verify` checks grids in blocks of about this many cells, a few kernel
 # calls a block (see _check_grid).  Larger blocks spread each call's fixed
-# cost over more grids, which gains nothing past this size.  An 8x8 grid
-# costs 158 us alone, 64 us in blocks of 2048 cells and 66 us in blocks of
-# 8192, and a 3x3 grid 60, 11 and 12 us (medians of seven in-process runs;
-# Python 3.11, 2-vCPU Xeon, a busy host).  With the garbage collector off,
-# blocks of 2048 take 63 and 10 us.
+# cost over more grids, which gains little past this size.  An 8x8 grid
+# costs 141 us alone, 37 us in blocks of 2048 cells and 35 us in blocks of
+# 8192 on one CPU, and 51, 20 and 18 us on two; a 3x3 grid 39, 7 and 7 us on
+# one CPU and 20, 4 and 4 us on two (wall time less start-up over 10**4 8x8
+# or 10**5 3x3 grids, medians of five subprocess runs; Python 3.11, 2-vCPU
+# Xeon).
 BLOCK_CELLS = 2048
+
+# `grid verify` splits its blocks into contiguous shares, one a CPU and each
+# of at least this many blocks: the first share runs in the process, each
+# other in a forked child (see _verify_shares).  A fork and wait take 1-2 ms,
+# yet two shares of a few blocks lost 3-15 ms to one share, broke even at
+# 8-12 blocks in all and saved 4-5 ms at 16 and 13-18 ms at 24 (8x8 and 3x3
+# grids, medians of 11 alternating subprocess runs; Python 3.11, 2-vCPU Xeon).
+MIN_SHARE_BLOCKS = 8
 
 # `grid sort --mode bubble --trace` prints at most this many snapshot cells,
 # n(n-1)/2 snapshots of n x p cells, which bound its output size: an 80x80
@@ -107,13 +120,14 @@ MAX_TRACE_CELLS = 25 * 10**6
 # counting 64 each plus one per column: neither merges nor cells alone track
 # the time.  A merge of packed rows costs 0.4-0.9 us at 1-30 columns, and at
 # 1000 columns 4.4 us of 16-bit fields, 5.4 us of 32-bit ones and 11.3 us of
-# 64-bit ones (entries spanning more than 2**31), so a unit takes 4-11 ns.
-# The 5649x1 grid `grid verify` allows counts 1.04*10**9 units and takes
-# 8.5-11.2 s, the largest column allowed, 5818x1, 9.6-11.8 s, and a
-# 1000x1000 grid 5.3*10**8 units and 2.9 s over [-1000, 1000], 9.5 s over
-# +-2**40; the costliest, 64-bit fields, reach 15.8 s at 1438x1000 over
-# +-2**40, parsing and printing included (Python 3.11, 2-vCPU Xeon, as
-# subprocesses).
+# 64-bit ones (entries spanning more than 2**31 in fewer than
+# gridsort.RANK_ROWS rows), so a unit takes 4-11 ns.  The 5649x1 grid
+# `grid verify` allows counts 1.04*10**9 units and takes 8.5-11.2 s, the
+# largest column allowed, 5818x1, 9.6-11.8 s, and a 1000x1000 grid
+# 5.3*10**8 units and 2.9 s over [-1000, 1000], 7.9 s over +-2**40 by 32-bit
+# ranks (7.7 s in 64-bit fields); the costliest allowed, 1438x1000 over
+# +-2**40, takes 10.2-11.6 s by ranks, 15.0-16.2 s in 64-bit fields,
+# parsing and printing included (Python 3.11, 2-vCPU Xeon, as subprocesses).
 MAX_BUBBLE_WORK = 11 * 10**8
 
 # `certify --p-max` scans the threshold inequality at most this far.  The
@@ -682,20 +696,54 @@ def cmd_grid_verify(args) -> int:
         raise TooLargeError(f"a grid of shape {shape} holds {brief(cells)} cells, "
                             f"above the limit of {MAX_CELLS_PER_GRID} per grid")
 
-    rows, cols, checked = args.rows, args.cols, 0
+    per_block = max(1, BLOCK_CELLS // cells)
+    blocks = -(-grids // per_block)
+    shares = max(1, min(_cpus(), blocks // MIN_SHARE_BLOCKS)) if hasattr(os, "fork") else 1
+    # each share's first grid, and the grid count past the last share: whole
+    # blocks, cut where a single share cuts them
+    starts = [min(grids, blocks * i // shares * per_block) for i in range(shares + 1)]
+    checked, problem, grid = (_verify_share(args, 0, grids) if shares == 1
+                              else _verify_shares(args, starts))
+    if grid is None and problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
+    return _grid_report(args, checked, grid, problem)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _verify_share(args, first: int, stop: int) -> tuple[int, str | None, Grid | None]:
+    """Check grids first to stop - 1 of the run `args` asks for, in its blocks.
+
+    Returns (checked, problem, grid): stop, None, None if every grid passes;
+    the first failing grid's index, its problem and the grid; or, for a
+    block that fails as one but whose grids pass one by one, the index past
+    the block, the message and None.
+    """
+    rows, cols, checked = args.rows, args.cols, first
+    cells = rows * cols
     per_block = max(1, BLOCK_CELLS // cells)
     # each block's cells, its grids one after another in row-major order:
     # every grid over the alphabet, or one draw of the block's random cells,
     # which takes the same random() calls as a draw per grid
     if args.exhaustive:
-        generated = itertools.product(range(args.alphabet), repeat=cells)
+        generated = itertools.islice(itertools.product(range(args.alphabet), repeat=cells),
+                                     first, stop)
         blocks = iter(lambda: tuple(itertools.chain.from_iterable(
             itertools.islice(generated, per_block))), ())
     else:
         rng = random.Random(args.seed)
+        # choices makes one random() call a cell: skip the earlier grids' calls
+        deque(itertools.starmap(rng.random, itertools.repeat((), first * cells)), maxlen=0)
         values = range(args.min, args.max + 1)
-        blocks = (rng.choices(values, k=min(per_block, args.trials - done) * cells)
-                  for done in range(0, args.trials, per_block))
+        blocks = (rng.choices(values, k=min(per_block, stop - done) * cells)
+                  for done in range(first, stop, per_block))
     for block in blocks:
         # the rows of the block's grids, stacked top to bottom
         stacked = tuple(zip(*[iter(block)] * cols))
@@ -710,12 +758,73 @@ def cmd_grid_verify(args) -> int:
             grid = Grid(stacked[top:top + rows])
             problem = _check_grid(grid)
             if problem is not None:
-                return _grid_report(args, checked, grid, problem)
+                return checked, problem, grid
             checked += 1
-        print(f"error: grids {checked - count} to {checked - 1} fail as one block but "
-              "pass one by one: the kernels let separate grids interact", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED
-    return _grid_report(args, checked)
+        return checked, (f"grids {checked - count} to {checked - 1} fail as one block but "
+                         "pass one by one: the kernels let separate grids interact"), None
+    return checked, None, None
+
+
+def _verify_shares(args, starts: list[int]) -> tuple[int, str | None, Grid | None]:
+    """_verify_share on each share of grids starts[i] to starts[i + 1] - 1 at once.
+
+    The first share runs here, each other in a forked child that sends its
+    result back as one JSON line over a pipe.  The first share that is not
+    ok decides, as it would in one run; a worker that raised raises here.
+    No child outlives this call: the later shares are killed and every
+    child is reaped on every way out.
+    """
+    import signal
+
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for first, stop in itertools.pairwise(starts[1:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _share_worker(args, first, stop, write, [read, *children.values()])
+            os.close(write)
+            children[pid] = read
+        checked, problem, grid = _verify_share(args, starts[0], starts[1])
+        for (pid, read), first, stop in zip(list(children.items()), starts[1:], starts[2:]):
+            if problem is not None:
+                break
+            with open(read, "rb", closefd=False) as pipe:
+                line = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code != 0:
+                raise RuntimeError(f"grid verify: the worker on grids {first} to {stop - 1} "
+                                   f"exited with {code}:\n{line.decode(errors='replace')}")
+            checked, problem, grid = json.loads(line)
+            grid = grid and Grid.from_rows(grid)
+        return checked, problem, grid
+    finally:
+        for pid, read in children.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _share_worker(args, first: int, stop: int, write: int, inherited: list[int]) -> NoReturn:
+    """A forked child's whole life: close the pipe ends it inherited, check
+    one share and send its result to `write` as one JSON line, or the
+    traceback if it raised.  os._exit leaves the parent's buffers unflushed
+    and its cleanup unrun; an interrupt exits 1 with nothing sent."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            checked, problem, grid = _verify_share(args, first, stop)
+            code, line = 0, json.dumps([checked, problem, grid and grid.entries])
+        except Exception:
+            import traceback
+            line = traceback.format_exc()
+        with open(write, "wb") as pipe:
+            pipe.write((line + "\n").encode(errors="backslashreplace"))
+    finally:
+        os._exit(code)
 
 
 def _side_by_side(stacked: tuple, rows: int) -> Grid:

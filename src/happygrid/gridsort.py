@@ -14,7 +14,9 @@ holds the entry less the grid's least entry, an order-preserving shift,
 and is wide enough to leave its top bit clear as a guard bit for the
 comparison.  Entries too wide for 64-bit fields are first replaced by
 their ranks among the grid's distinct values, a strictly increasing map,
-so min and max commute with it too.
+so min and max commute with it too; so are 64-bit entries of a tall grid
+whose ranks fit narrower fields, where the merges save more than ranking
+costs.
 """
 
 from __future__ import annotations
@@ -164,6 +166,22 @@ def is_cols_sorted(g: Grid) -> bool:
     return all(all(map(le, upper, lower)) for upper, lower in pairwise(g.entries))
 
 
+# _rank_pack packs entries that need 64-bit fields by their ranks among the
+# grid's distinct values when the grid has at least this many rows and the
+# ranks fit 32- or 16-bit fields.  Ranking costs about 1-1.6 us a cell, and a
+# merge of 1000 columns takes 10-12 us in 64-bit fields against 6.2-6.3 us in
+# 32-bit ones, so ranks pay once each row takes part in some hundreds of
+# merges: a bubble sort over +-2**40 took 0.73 s in 64-bit fields against
+# 0.81 s by ranks at 400x1000, 1.15 s either way at 512x1000, 1.92 against
+# 1.73 s at 640x1000 and 2.74 against 2.47 s at 768x1000; at 30-300 columns
+# ranks broke even at 128-256 rows (in process, least of 3).  Through
+# `grid sort --mode bubble --json`, 1000x1000 took 7.7 s against 7.9 s, and
+# the largest 1000-column grid the bubble cap allows, 1438x1000, 15.0-16.2 s
+# at 234 MB peak against 10.2-11.6 s at 286 MB (Python 3.11, 2-vCPU
+# Xeon).
+RANK_ROWS = 512
+
+
 def _signed_code(lo: int, hi: int) -> str | None:
     """The narrowest of the struct typecodes h, i and q that holds lo and hi
     and whose top bit hi - lo leaves clear; None if none does."""
@@ -183,16 +201,17 @@ def _rank_pack(rows) -> tuple[list[int], int, int, Callable[[int], tuple[int, ..
     subtraction turn every field's two's complement entry into that
     difference, which leaves the top bit clear.  When the entries span
     more than a q field allows, their ranks among the distinct values are
-    packed instead.  Returns the packed rows, the guard mask (the top bit
-    of every field), the shift that moves a guard bit to its field's lowest
-    bit, and the function that unpacks a packed row back into a tuple of
-    entries.
+    packed instead, and so are those of RANK_ROWS rows or more that need a
+    q field: their ranks fit a narrower one below 2**31 distinct values.
+    Returns the packed rows, the guard mask (the top bit of every field),
+    the shift that moves a guard bit to its field's lowest bit, and the
+    function that unpacks a packed row back into a tuple of entries.
     """
     width = len(rows[0])
     lo, hi = min(map(min, rows)), max(map(max, rows))
     code = _signed_code(lo, hi)
     values = None
-    if code is None:
+    if code is None or (code == "q" and len(rows) >= RANK_ROWS):
         values = sorted(set().union(*rows))
         rank = {v: i for i, v in enumerate(values)}
         rows = [map(rank.__getitem__, row) for row in rows]

@@ -1192,6 +1192,171 @@ def test_grid_verify_checks_the_real_width_in_every_block(capsys, monkeypatch, i
         "index": index, "problem": problem, "grid": [list(row) for row in grid.entries]}
 
 
+def run_in_shares(capsys, monkeypatch, shares, *argv):
+    """run_cli with `shares` CPUs and shares of a block or more: (code, out,
+    err, the number of workers forked)."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cpus", lambda: shares)
+        patch.setattr(cli, "MIN_SHARE_BLOCKS", 1)
+        patch.setattr(os, "fork", counted)
+        return (*run_cli(capsys, *argv), len(forks))
+
+
+def assert_same_in_shares(capsys, monkeypatch, *argv):
+    """One share and three give the same exit code, stdout and stderr; the
+    three run in this process and two forked children."""
+    alone = run_in_shares(capsys, monkeypatch, 1, *argv)
+    shared = run_in_shares(capsys, monkeypatch, 3, *argv)
+    assert alone[3] == 0 and shared[3] == 2
+    assert shared[:3] == alone[:3]
+    return alone[:3]
+
+
+def holds_grid(argv, index, kernel):
+    """A test on a kernel's input grid: does it hold the index-th grid that
+    `argv` generates whole?  The row sort sees a block's grids stacked top to
+    bottom, the column kernels side by side, the column sort also with their
+    rows sorted."""
+    args = cli.build_parser().parse_args(argv)
+    flat = next(itertools.islice(verify_flats(args), index, None))
+    grid = Grid(tuple(zip(*[iter(flat)] * args.cols)))
+    if kernel == "sort_rows":
+        return lambda g: any(g.entries[top:top + args.rows] == grid.entries
+                             for top in range(0, g.rows, args.rows))
+    forms = {tuple(zip(*grid.entries)), tuple(zip(*cli.sort_rows(grid).entries))}
+
+    def holds(g):
+        columns = tuple(zip(*g.entries))
+        return any(columns[left:left + args.cols] in forms
+                   for left in range(0, g.cols, args.cols))
+    return holds
+
+
+def share_of(argv, index, shares=3):
+    """The share that checks the index-th grid when `argv`'s blocks are split
+    into `shares`, as cmd_grid_verify splits them."""
+    args = cli.build_parser().parse_args(argv)
+    grids = args.alphabet ** (args.rows * args.cols) if args.exhaustive else args.trials
+    per_block = max(1, cli.BLOCK_CELLS // (args.rows * args.cols))
+    blocks = -(-grids // per_block)
+    return max(i for i in range(shares) if blocks * i // shares * per_block <= index)
+
+
+# Three shares of RANDOM_3X3 start at grids 0, 227 and 681, of EXHAUSTIVE_3X3
+# at 0, 6583 and 13166 and of the 1x5 and 5x1 runs at 0, 409 and 818.  The
+# exhaustive grids chosen have their rows sorted, so no earlier grid's rows
+# sort to them.
+@pytest.mark.parametrize("argv, kernel, indices", [
+    pytest.param(argv, kernel, indices, id=f"{name}-{kernel}-share"
+                 + "+".join(str(share_of(argv, index)) for index in indices))
+    for name, argv, kernels, placements in [
+        ("random", RANDOM_3X3, ("bubble_column_sort", "sort_cols", "sort_rows"),
+         ((100,), (700,), (500, 700))),
+        ("exhaustive", EXHAUSTIVE_3X3, ("bubble_column_sort", "sort_cols"),
+         ((4130,), (18959,), (9872, 18959))),
+        ("1x5", RANDOM_1X5, ("bubble_column_sort", "sort_rows"), ((0,), (700,), (700, 900))),
+        ("5x1", RANDOM_5X1, ("bubble_column_sort", "sort_cols"), ((300,), (700,), (500, 900))),
+    ]
+    for kernel in kernels
+    for indices in placements
+])
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+def test_grid_verify_in_shares_reports_the_first_bad_grid(capsys, monkeypatch, argv, kernel,
+                                                          indices, json_out):
+    chosen = [holds_grid(argv, index, kernel) for index in indices]
+    break_kernel(monkeypatch, kernel, lambda grid: any(holds(grid) for holds in chosen))
+    at, grid, problem = first_bad_grid(argv)
+    assert at == indices[0]
+    assert [share_of(argv, index) for index in indices] == sorted(
+        {share_of(argv, index) for index in indices})  # each index in a share of its own
+    code, out, err = assert_same_in_shares(capsys, monkeypatch, *argv, *["--json"] * json_out)
+    assert code == 1
+    if json_out:
+        assert err == "" and json.loads(out)["counterexample"] == {
+            "index": at, "problem": problem, "grid": [list(row) for row in grid.entries]}
+    else:
+        assert out == "" and err.startswith(f"counterexample at trial {at}")
+
+
+@pytest.mark.parametrize("argv", [
+    [*RANDOM_3X3, "--json"],
+    [*RANDOM_3X3, "--rows", "8", "--cols", "8", "--trials", "500"],
+    [*EXHAUSTIVE_3X3, "--json"],
+    [*EXHAUSTIVE_3X3, "--rows", "1", "--cols", "2", "--alphabet", "100"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_grid_verify_passes_alike_in_shares(capsys, monkeypatch, argv):
+    code, out, err = assert_same_in_shares(capsys, monkeypatch, *argv)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+def test_grid_verify_block_error_from_a_later_share(capsys, monkeypatch, json_out):
+    # grid 800, not the first of its block 681-907, breaks its block's stack of
+    # grids but not itself: share 2 finds the block failing as one
+    assert share_of(RANDOM_3X3, 800) == 2
+    chosen = holds_grid(RANDOM_3X3, 800, "bubble_column_sort")
+    break_kernel(monkeypatch, "bubble_column_sort", lambda grid: grid.cols > 3 and chosen(grid))
+    assert first_bad_grid(RANDOM_3X3) is None
+    assert assert_same_in_shares(capsys, monkeypatch, *RANDOM_3X3, *["--json"] * json_out) == (
+        1, "", "error: grids 681 to 907 fail as one block but pass one by one: the kernels "
+               "let separate grids interact\n")
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("index, code", [(None, 0), (100, 1), (700, 1)],
+                         ids=["pass", "share-0", "share-2"])
+def test_grid_verify_leaves_no_child(capsys, monkeypatch, index, code):
+    if index is not None:
+        chosen = holds_grid(RANDOM_3X3, index, "sort_cols")
+        break_kernel(monkeypatch, "sort_cols", chosen)
+    assert run_in_shares(capsys, monkeypatch, 3, *RANDOM_3X3)[0::3] == (code, 2)
+    assert_no_children()
+
+
+def test_grid_verify_raises_what_a_worker_raised(capsys, monkeypatch):
+    chosen = holds_grid(RANDOM_3X3, 700, "sort_rows")
+    original = cli.sort_rows
+
+    def sort_rows(grid):
+        if chosen(grid):
+            raise ArithmeticError("a broken row sort")
+        return original(grid)
+
+    monkeypatch.setattr(cli, "sort_rows", sort_rows)
+    with pytest.raises(ArithmeticError, match="a broken row sort"):
+        run_in_shares(capsys, monkeypatch, 1, *RANDOM_3X3)
+    with pytest.raises(RuntimeError, match="grids 681 to 999 exited with 1:\n(.|\n)*"
+                                           "ArithmeticError: a broken row sort"):
+        run_in_shares(capsys, monkeypatch, 3, *RANDOM_3X3)
+    assert capsys.readouterr() == ("", "")
+    assert_no_children()
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (-1000, 1000), (0, cli.MAX_DRAWN_VALUES - 1)])
+def test_choices_makes_one_random_call_per_item(lo, hi):
+    # a grid verify share starts by skipping one random() call per cell drawn
+    # before it, which draws its grids as one run does only if this holds
+    for k in (0, 1, 9, 2048):
+        drawn, skipped = random.Random(k), random.Random(k)
+        drawn.choices(range(lo, hi + 1), k=k)
+        for _ in range(k):
+            skipped.random()
+        assert drawn.getstate() == skipped.getstate(), (
+            f"random.choices makes other than one random() call per item on Python "
+            f"{sys.version}: grid verify shares would draw other grids than one run")
+
+
 def test_grid_verify_bad_range(capsys):
     code, out, err = run_cli(
         capsys, "grid", "verify", "--min", "5", "--max", "1", "--trials", "1"

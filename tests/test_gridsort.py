@@ -349,6 +349,19 @@ def test_field_width_leaves_a_guard_bit(lo, distinct, shift):
     assert packed[0] & guards == 0 and unpack(packed[0]) == tuple(row)
 
 
+@pytest.mark.parametrize("rows, cols, shift", [
+    (gridsort.RANK_ROWS - 1, 1, 63), (gridsort.RANK_ROWS, 1, 15), (gridsort.RANK_ROWS, 65, 31)])
+def test_tall_grids_pack_64_bit_entries_by_narrower_ranks(rows, cols, shift):
+    # entries past 32 bits take 64-bit fields, or from RANK_ROWS rows on the
+    # fields of their ranks: 16 bits for 512 distinct values, 32 for 33,280
+    rng = random.Random(rows * cols)
+    g = _shuffled_grid([rng.randint(-2**40, 2**40) for _ in range(rows * cols)], rows, rng)
+    packed, guards, chosen, unpack = gridsort._rank_pack(g.entries)
+    assert chosen == shift and tuple(map(unpack, packed)) == g.entries
+    column_sorted = tuple(zip(*(sorted(column) for column in zip(*g.entries))))
+    assert bubble_column_sort(g) == (Grid(column_sorted), rows - 1)
+
+
 @given(g=grids(max_rows=6, max_cols=6, lo=-3, hi=3)
        | grids(max_rows=6, max_cols=6, lo=-2**70, hi=2**70)
        | st.sampled_from(FIELD_EDGES).flatmap(
