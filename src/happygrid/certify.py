@@ -45,14 +45,15 @@ from .dynamics import Cycle, canonicalize_cycle
 # on the multiset count is measured.
 MAX_VALUES = 10**7
 
-# A value above B costs one map of all its digits: about 0.3 us a digit,
+# A value above B costs one map of all its digits: about 0.2 us a digit,
 # plus big-int divisions that grow as the square of its size and dominate
 # from about 10**5 bits on, so a value of n digits and k bits counts
 # n + (k // 400)**2 units of work.  At this many units the largest ranges
-# allowed take 28-49 s: 33 values of 830,482 bits (250,000 decimal digits,
+# allowed take 16-58 s: 33 values of 830,482 bits (250,000 decimal digits,
 # the longest --hi the CLI reads) in base 36, 487 of 60,000 digits and
 # 140,977 of 1,000 digits in base 10, 6 * 10**6 of 24 bits in base 2 and
-# 15,685 of 33,000 bits in base 3162 (Python 3.11, 2-vCPU Xeon).
+# 15,685 of 33,000 bits in base 3162 with exponent 1 (a tenth of each range
+# of random digits timed and scaled; Python 3.11, 2-vCPU Xeon).
 MAX_RANGE_WORK = 15 * 10**7
 
 

@@ -4,6 +4,7 @@ n to the sum of the e-th powers of its base-b digits (0, with none, to 0).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import NamedTuple
@@ -13,6 +14,14 @@ from typing import NamedTuple
 # _chunks into chunks below 2**_LEAF_BITS (two 30-bit limbs).
 _SPLIT_ABOVE = 1 << 1024
 _LEAF_BITS = 60
+
+# digit_power_sum reads d**e from a table of the base's digit powers when the
+# base has at most _TABLE_BASES digits and the table's powers hold at most
+# _TABLE_BITS bits in all, 4 MiB: a base up to 1024 at any digit weight the
+# CLI admits.  Above that, as for base 10**6 + 1, the table would cost more to
+# build and hold than it saves, and each digit's power is computed.
+_TABLE_BASES = 1024
+_TABLE_BITS = 2**25
 
 
 class _DigitSystemFields(NamedTuple):
@@ -84,11 +93,27 @@ def digit_power_sum(n: int, sys: DigitSystem) -> int:
         for chunk in _chunks(n, sys.base):
             total += digit_power_sum(chunk, sys)
         return total
-    base, e = sys.base, sys.exponent
-    while n:
-        n, d = divmod(n, base)
-        total += d**e
+    base = sys.base
+    powers = _digit_powers(sys)
+    if powers is None:
+        e = sys.exponent
+        while n:
+            n, d = divmod(n, base)
+            total += d**e
+    else:
+        while n:
+            n, d = divmod(n, base)
+            total += powers[d]
     return total
+
+
+@functools.lru_cache(maxsize=8)
+def _digit_powers(sys: DigitSystem) -> tuple[int, ...] | None:
+    """The table (0**e, 1**e, ..., (b-1)**e), or None where it would be too large."""
+    base, e = sys
+    if base > _TABLE_BASES or base * e * (base - 1).bit_length() > _TABLE_BITS:
+        return None
+    return tuple(d**e for d in range(base))
 
 
 def _chunks(n: int, base: int):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -1100,19 +1101,24 @@ def break_kernel(monkeypatch, name, broken):
     monkeypatch.setattr(cli, name, kernel)
 
 
-def shares_a_line_with(argv, index, kernel):
-    """A test on grids: do they hold row 1 (for the row sort) or column 1 (for
-    the column kernels) of the index-th grid that `argv` generates, row or
-    column 0 if it has only one?  A block keeps rows whole when stacked top
-    to bottom, columns when side by side."""
+def holds_grid(argv, index, kernel):
+    """A test on a kernel's input grid: does it hold the index-th grid that
+    `argv` generates whole?  The row sort sees a block's grids stacked top to
+    bottom, the column kernels side by side, the column sort also with their
+    rows sorted."""
     args = cli.build_parser().parse_args(argv)
     flat = next(itertools.islice(verify_flats(args), index, None))
+    grid = Grid(tuple(zip(*[iter(flat)] * args.cols)))
     if kernel == "sort_rows":
-        top = min(1, args.rows - 1) * args.cols
-        row = tuple(flat[top:top + args.cols])
-        return lambda grid: row in grid.entries
-    column = tuple(flat[min(1, args.cols - 1)::args.cols])
-    return lambda grid: column in zip(*grid.entries)
+        return lambda g: any(g.entries[top:top + args.rows] == grid.entries
+                             for top in range(0, g.rows, args.rows))
+    forms = {tuple(zip(*grid.entries)), tuple(zip(*cli.sort_rows(grid).entries))}
+
+    def holds(g):
+        columns = tuple(zip(*g.entries))
+        return any(columns[left:left + args.cols] in forms
+                   for left in range(0, g.cols, args.cols))
+    return holds
 
 
 RANDOM_3X3 = ["grid", "verify", "--seed", "42"]
@@ -1121,14 +1127,16 @@ RANDOM_1X5 = [*RANDOM_3X3, "--rows", "1", "--cols", "5"]
 RANDOM_5X1 = [*RANDOM_3X3, "--rows", "5", "--cols", "1"]
 
 
-# A kernel broken on grids that hold a chosen row or column breaks every block
-# holding such a grid, and the block is then checked grid by grid.
+# A kernel broken on grids that hold a chosen grid breaks every block holding
+# it, and the block is then checked grid by grid.  The exhaustive grids chosen
+# have their rows sorted, so no earlier grid's rows sort to them and the
+# chosen grid is the first to fail.
 @pytest.mark.parametrize("argv, kernel, index", [
     pytest.param(RANDOM_3X3, "bubble_column_sort", 700, id="random-bubble-700"),
     pytest.param(RANDOM_3X3, "sort_cols", 500, id="random-cols-500"),
     pytest.param(RANDOM_3X3, "sort_rows", 300, id="random-rows-300"),
     pytest.param(RANDOM_3X3, "bubble_column_sort", 0, id="random-bubble-0"),
-    pytest.param(EXHAUSTIVE_3X3, "sort_cols", 5000, id="exhaustive-cols-5000"),
+    pytest.param(EXHAUSTIVE_3X3, "sort_cols", 5832, id="exhaustive-cols-5832"),
     pytest.param(EXHAUSTIVE_3X3, "bubble_column_sort", 19682, id="exhaustive-bubble-19682"),
     # A one-row stack lays out side by side as one row, a one-column stack as
     # one column.  A row reversed in a one-column grid or a one-row grid
@@ -1141,10 +1149,9 @@ RANDOM_5X1 = [*RANDOM_3X3, "--rows", "5", "--cols", "1"]
 @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
 def test_grid_verify_reports_the_first_bad_grid(capsys, monkeypatch, argv, kernel, index,
                                                 json_out):
-    break_kernel(monkeypatch, kernel, shares_a_line_with(argv, index, kernel))
-    expected = first_bad_grid(argv)
-    assert expected is not None and expected[0] <= index
-    at, grid, problem = expected
+    break_kernel(monkeypatch, kernel, holds_grid(argv, index, kernel))
+    at, grid, problem = first_bad_grid(argv)
+    assert at == index
     code, out, err = run_cli(capsys, *argv, *["--json"] * json_out)
     assert code == 1
     if json_out:
@@ -1161,7 +1168,7 @@ def test_grid_verify_reports_the_first_bad_grid(capsys, monkeypatch, argv, kerne
 
 def test_grid_verify_counterexample_is_pinned(capsys, monkeypatch):
     break_kernel(monkeypatch, "bubble_column_sort",
-                 shares_a_line_with(RANDOM_3X3, 700, "bubble_column_sort"))
+                 holds_grid(RANDOM_3X3, 700, "bubble_column_sort"))
     expected = (GOLDEN / "grid-verify-counterexample-42.json").read_text(encoding="utf-8")
     assert run_cli(capsys, *RANDOM_3X3, "--json") == (1, expected, "")
 
@@ -1182,7 +1189,7 @@ def test_grid_verify_never_passes_a_kernel_broken_on_wide_rows(capsys, monkeypat
 @pytest.mark.parametrize("index", [0, 2 * (cli.BLOCK_CELLS // 9)], ids=["block-0", "block-2"])
 def test_grid_verify_checks_the_real_width_in_every_block(capsys, monkeypatch, index):
     # broken only at the requested width, on the first grid of a block
-    chosen = shares_a_line_with(RANDOM_3X3, index, "sort_cols")
+    chosen = holds_grid(RANDOM_3X3, index, "sort_cols")
     break_kernel(monkeypatch, "sort_cols", lambda grid: grid.cols == 3 and chosen(grid))
     at, grid, problem = first_bad_grid(RANDOM_3X3)
     assert at == index
@@ -1217,26 +1224,6 @@ def assert_same_in_shares(capsys, monkeypatch, *argv):
     assert alone[3] == 0 and shared[3] == 2
     assert shared[:3] == alone[:3]
     return alone[:3]
-
-
-def holds_grid(argv, index, kernel):
-    """A test on a kernel's input grid: does it hold the index-th grid that
-    `argv` generates whole?  The row sort sees a block's grids stacked top to
-    bottom, the column kernels side by side, the column sort also with their
-    rows sorted."""
-    args = cli.build_parser().parse_args(argv)
-    flat = next(itertools.islice(verify_flats(args), index, None))
-    grid = Grid(tuple(zip(*[iter(flat)] * args.cols)))
-    if kernel == "sort_rows":
-        return lambda g: any(g.entries[top:top + args.rows] == grid.entries
-                             for top in range(0, g.rows, args.rows))
-    forms = {tuple(zip(*grid.entries)), tuple(zip(*cli.sort_rows(grid).entries))}
-
-    def holds(g):
-        columns = tuple(zip(*g.entries))
-        return any(columns[left:left + args.cols] in forms
-                   for left in range(0, g.cols, args.cols))
-    return holds
 
 
 def share_of(argv, index, shares=3):
@@ -1412,6 +1399,62 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "terminal cycle of length 8" in result.stdout
+
+
+def main_in_process(capsys, argv):
+    """main's exit code, argparse's SystemExit included, stdout and stderr as bytes."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+ENTRY_POINT_CASES = [
+    pytest.param(["certify", "--json"], 0, "certify-10-2.json", id="certify"),
+    pytest.param(["certify", "--max-steps", "10", "--json"], 1, "certify-max-steps-10.json",
+                 id="certify-fails"),
+    pytest.param(["certify", "--exp", "7"], 2, None, id="refused"),
+    pytest.param(["certify", "--exp", "x"], 2, None, id="usage-error"),
+    pytest.param(["--version"], 0, None, id="version"),
+]
+
+
+@pytest.mark.parametrize("argv, code, golden", ENTRY_POINT_CASES)
+def test_main_never_freezes_the_process_it_runs_in(capsys, argv, code, golden):
+    # only the process entry point freezes, once main is done
+    frozen = gc.get_freeze_count()
+    assert main_in_process(capsys, argv)[0] == code
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv, code, golden", ENTRY_POINT_CASES)
+def test_module_process_prints_what_main_prints(capsys, argv, code, golden):
+    # byte for byte, with the golden file where one pins the output
+    expected = main_in_process(capsys, argv)
+    assert expected[0] == code
+    if golden is not None:
+        assert expected[1] == (GOLDEN / golden).read_bytes()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-m", "happygrid", *argv], capture_output=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert (result.returncode, result.stdout, result.stderr) == expected
+
+
+def test_the_process_entry_point_freezes_what_is_left_at_exit():
+    # an atexit hook runs after run() has returned or raised SystemExit, and
+    # before the interpreter's final collections
+    script = ("import atexit, gc, sys\n"
+              "from happygrid.__main__ import run\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+              "sys.exit(run())\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for argv, code in ((["traj", "4"], 0), (["--version"], 0), (["certify", "--exp", "x"], 2)):
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == code
+        assert result.stderr.endswith("frozen True\n"), argv
 
 
 def test_cli_import_leaves_out_dataclasses():

@@ -7,6 +7,7 @@ from happygrid import (
     as_natural,
     digit_count,
     digit_power_sum,
+    digitmap,
 )
 
 SYSTEMS = [
@@ -164,6 +165,24 @@ def test_power_sum_at_split_boundaries(base):
     for k in (1, 2, 3, 20_000 // base.bit_length()):
         n = base**k - 1  # k digits equal to base - 1
         assert digit_power_sum(n, sys_) == k * sys_.digit_weight
+
+
+@pytest.mark.parametrize("base, exponent, tabled", [
+    (10, 2, True),
+    (10, 100_000, True),
+    (1024, 3276, True),  # the largest table at the CLI's digit weight cap, 2**25 bits
+    (1025, 2, False),
+    (10**6 + 1, 2, False),  # the largest base the CLI admits
+    (10, 10**7, False),
+])
+def test_power_sum_with_and_without_a_table(base, exponent, tabled):
+    # digit powers come from a table of the base's digits only while it is small
+    sys_ = DigitSystem(base, exponent)
+    assert (digitmap._digit_powers(sys_) is not None) == tabled
+    if exponent > 10**6:
+        return
+    for n in (0, 1, base - 1, base, 5 * base**7 + 3, base**3 - 1, 2**1100 + 12345):
+        assert digit_power_sum(n, sys_) == loop_power_sum(n, sys_)
 
 
 @pytest.mark.parametrize("base", [2, 3, 10, 37, 10**9 + 7])
