@@ -41,7 +41,7 @@ from .certify import (
     validate_atlas,
     verify_range,
 )
-from .digitmap import DigitSystem
+from .digitmap import DigitSystem, map_units
 from .dynamics import BudgetExceededError, Cycle, classify, step_until_repeat
 from .gridsort import (
     Grid,
@@ -128,6 +128,9 @@ MAX_TRACE_CELLS = 25 * 10**6
 # ranks (7.7 s in 64-bit fields); the costliest allowed, 1438x1000 over
 # +-2**40, takes 10.2-11.6 s by ranks, 15.0-16.2 s in 64-bit fields,
 # parsing and printing included (Python 3.11, 2-vCPU Xeon, as subprocesses).
+# Its peak RSS is 286 MB, set by _rank_pack's rank table over the parsed
+# grid, or 234 MB in 64-bit fields, set by parse_grid; a 1000x1000 sort over
+# [-1000, 1000] peaks at 32 MB with --json, its output sharing equal entries.
 MAX_BUBBLE_WORK = 11 * 10**8
 
 # `certify --p-max` scans the threshold inequality at most this far.  The
@@ -135,6 +138,19 @@ MAX_BUBBLE_WORK = 11 * 10**8
 # about as p**2 * log(base): 10**4 takes 0.01 s for base 10 and 0.05 s for
 # base 10**6, and 10**5 takes 0.9 s for base 10 (Python 3.11, 2-vCPU Xeon).
 MAX_P_MAX = 10**4
+
+# `traj` walks at most this much work, each step counting digitmap.map_units
+# at p0 digits: a walk that has not repeated by then exits 2, and so does a
+# --max-steps above it.  A walk that repeats maps each cycle member once more
+# to check the cycle, and writes every step: `traj 5 --exp 200`, 222,693 steps
+# of which 182,177 are the cycle, took 5.7 s to walk and 12.0 s in all with
+# --json at 156 MB peak RSS (1.7*10**8 units).  Walks from 5 stopped at this
+# cap took 0.9-1.6 s in bases 65536 and 10**6 + 1, which compute each digit
+# power, 2.0-3.5 s at (10, 200), (10, 1000), (10, 8192), (16, 1000) and
+# (1024, 3276), and 4.1 s at (1024, 100), the costliest a unit, so the longest
+# walk admitted, which checks its cycle and writes its steps, takes about
+# ten seconds (Python 3.11, 2-vCPU Xeon, as subprocesses).
+MAX_TRAJ_WORK = 8 * 10**7
 
 # A start that is converted to an int holds at most this many digits; a
 # base-10 start of p0 or more digits is not converted and has no limit.
@@ -224,25 +240,26 @@ def dumps_canonical(record: dict) -> str:
 def _write_canonical(record: dict) -> None:
     """Write dumps_canonical(record) to stdout; every `--json` record goes out here.
 
-    An iterator value is written as a list, each item rendered at its depth
-    and written as it is made, so a long trace is never held whole.
-    Indenting a rendered value to its depth is exact: a canonical record
-    holds no raw newline inside a string.
+    A list, tuple or iterator value is written as a list item by item, each
+    item rendered at its depth, so no array is held rendered whole and a
+    long trace is written as it is made.  Indenting a rendered value to its
+    depth is exact: a canonical record holds no raw newline inside a string.
     """
     write = sys.stdout.write
     lead = "{"
     for key, value in sorted(record.items()):
         write(lead + "\n  " + encode_basestring_ascii(key) + ": ")
         lead = ","
-        if not isinstance(value, Iterator):
+        if not isinstance(value, (list, tuple, Iterator)):
             write(dumps_canonical(value)[:-1].replace("\n", "\n  "))
             continue
         opening = "["
         for item in value:
-            write(opening + "\n    " + _render(item, "\n    "))
+            write(opening + "\n    ")
+            write(_render(item, "\n    "))
             opening = ","
         write("[]" if opening == "[" else "\n  ]")
-    write("\n}\n")
+    write("{}\n" if lead == "{" else "\n}\n")
 
 
 class _Json(str):
@@ -406,15 +423,27 @@ def _start_value(digits: str, system: DigitSystem) -> tuple[int, int]:
 
 def cmd_traj(args) -> int:
     system = _digit_system(args)
+    # each step counted at p0 digits, one more than a value of [0, B] has
+    units = map_units(system, digit_reduction_threshold(system))
+    most = MAX_TRAJ_WORK // units
+    limit = (f"in base {system.base} exponent {system.exponent}: {units} units of work a step, "
+             f"at most {MAX_TRAJ_WORK} in all")
+    if args.max_steps is not None and args.max_steps > most:
+        raise TooLargeError(f"--max-steps {brief(args.max_steps)} is above the limit of {most} "
+                            f"steps {limit}")
     digits = args.n
     taken, n = _start_value(digits, system)
     # the default budget counts the start's digits, not its image's
     budget = args.max_steps or default_step_budget(
         n, system, digits=len(digits) if taken else None)
+    walked = min(budget, most)
     traj = None
-    if budget > taken:
+    if walked > taken:
         with contextlib.suppress(BudgetExceededError):
-            traj = step_until_repeat(n, system, budget - taken)
+            traj = step_until_repeat(n, system, walked - taken)
+    if traj is None and walked == most:
+        raise TooLargeError(f"orbit of {digits} did not repeat within {most} steps, the limit "
+                            f"{limit}")
     if traj is None:
         raise UsageError(f"orbit of {digits} did not repeat within {budget} steps; "
                          "raise --max-steps")
@@ -433,10 +462,11 @@ def cmd_traj(args) -> int:
         })
         return EXIT_OK
     print(f"base {system.base} exponent {system.exponent}")
-    print("orbit:", " ".join(steps))
+    # print writes its arguments one by one: no line is joined whole
+    print("orbit:", *steps)
     print(f"transient length: {traj.transient_length + taken}")
     kind = "fixed point" if traj.terminal.is_fixed_point else f"cycle of length {traj.terminal.length}"
-    print(f"terminal {kind}:", " ".join(str(m) for m in traj.terminal.members))
+    print(f"terminal {kind}:", *traj.terminal.members)
     return EXIT_OK
 
 
@@ -573,6 +603,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_grid_sort(args) -> int:
+    if args.trace and args.mode != "bubble":
+        raise UsageError(f"--trace shows the merges of --mode bubble, not of --mode {args.mode}")
     try:
         grid = parse_grid(sys.stdin.read() if args.file == "-"
                           else Path(args.file).read_text(encoding="utf-8"))
@@ -619,7 +651,11 @@ def cmd_grid_sort(args) -> int:
         print(f"# pass {step.pass_no} merged rows {step.top_row + 1},{step.top_row + 2}")
         print("\n".join(rows))
         print()
-    print("\n\n".join(format_grid(g) for g in outputs))
+    # each grid row by row, a blank line between grids
+    for i, g in enumerate(outputs):
+        if i:
+            sys.stdout.write("\n")
+        sys.stdout.writelines(format_row(row) + "\n" for row in g.entries)
     return EXIT_OK
 
 

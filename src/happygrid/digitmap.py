@@ -107,6 +107,24 @@ def digit_power_sum(n: int, sys: DigitSystem) -> int:
     return total
 
 
+def map_units(sys: DigitSystem, digits: int) -> int:
+    """Units of work of one map of a value of `digits` digits, about 15-80 ns each.
+
+    A digit costs 4 units and the addition of its power one more per 1024
+    bits of the digit weight.  A digit whose power is computed, not read
+    from the table, costs bits**1.5 / 1024 more, for the powering.  One map
+    took 0.6 us at (10, 2), 29 us at (10, 200), 6.6 ms at (10, 8192), 5.5 ms
+    at (3, 16384) and 6.1 ms at (1024, 3276) from the table, and 1.3 us a
+    digit at (65536, 100) and 113 us a digit at (65536, 2048) computing each
+    power (values near B, in process; Python 3.11, 2-vCPU Xeon).
+    """
+    bits = sys.exponent * (sys.base - 1).bit_length()
+    per_digit = 4 + bits // 1024
+    if _digit_powers(sys) is None:
+        per_digit += bits * math.isqrt(bits) // 1024
+    return digits * per_digit
+
+
 @functools.lru_cache(maxsize=8)
 def _digit_powers(sys: DigitSystem) -> tuple[int, ...] | None:
     """The table (0**e, 1**e, ..., (b-1)**e), or None where it would be too large."""

@@ -177,9 +177,23 @@ def is_cols_sorted(g: Grid) -> bool:
 # ranks broke even at 128-256 rows (in process, least of 3).  Through
 # `grid sort --mode bubble --json`, 1000x1000 took 7.7 s against 7.9 s, and
 # the largest 1000-column grid the bubble cap allows, 1438x1000, 15.0-16.2 s
-# at 234 MB peak against 10.2-11.6 s at 286 MB (Python 3.11, 2-vCPU
-# Xeon).
+# against 10.2-11.6 s.  Its peak RSS, 234 MB in 64-bit fields, is set by
+# parse_grid, whose text, lines and dict of 1.4*10**6 distinct entries come
+# to 181 MB; ranks take it to 286 MB with the rank table built on top of the
+# parsed grid (Python 3.11, 2-vCPU Xeon).
 RANK_ROWS = 512
+
+# bubble_column_sort gives equal entries of its output one int object when
+# the grid has at least this many cells and its entries span fewer values
+# than a quarter of its cells.  Sharing costs 15-120 ns a cell in process,
+# and verify's blocks of about 2048 cells gain nothing from it.  Through
+# `grid sort --mode bubble --json` over [-1000, 1000] it took the peak RSS
+# from 16.09 to 16.10 MB at 64x64, 16.23 to 16.10 MB at 90x90, 16.39 to
+# 16.11 MB at 128x128, 16.85 to 16.09 MB at 180x180 and 25.5 to 19.1 MB at
+# 500x500, yet it adds a dict entry where it saves no int: at 500x500 it cost
+# 3.8 MB over a span of cells / 2 and saved 2.5 MB over cells / 4, and at
+# 500x1000 over +-2**40 it cost 8.9 MB (Python 3.11, 2-vCPU Xeon).
+SHARE_CELLS = 2**14
 
 
 def _signed_code(lo: int, hi: int) -> str | None:
@@ -280,8 +294,9 @@ def bubble_column_sort(g: Grid) -> tuple[Grid, int]:
     than the previous pass: after pass 1 the bottom row holds the column
     maxima and never moves again, after pass 2 the row above it, etc.
     Equals sort_cols on every input (per column this is bubble sort).
-    The rows are packed once, merged packed and unpacked once; one row
-    needs no merge and is not packed.
+    The rows are packed once, merged packed and unpacked once, equal
+    entries of a large grid of few values sharing one int (see
+    SHARE_CELLS); one row needs no merge and is not packed.
     Returns the sorted grid and the number of passes the merges ran, n - 1.
     """
     if g.rows == 1:
@@ -290,7 +305,14 @@ def bubble_column_sort(g: Grid) -> tuple[Grid, int]:
     passes = 0
     for passes, _ in _bubble_passes(rows, guards, shift):
         pass
-    return Grid(tuple(map(unpack, rows))), passes
+    out = map(unpack, rows)
+    cells = g.rows * g.cols
+    # the top row holds each column's least entry and the bottom row its greatest
+    if cells >= SHARE_CELLS and max(unpack(rows[-1])) - min(unpack(rows[0])) < cells // 4:
+        # one int object per distinct value, as parse_grid builds them
+        shared: dict[int, int] = {}
+        out = (tuple(map(shared.setdefault, row, row)) for row in out)
+    return Grid(tuple(out)), passes
 
 
 def trace_bubble(g: Grid) -> Iterator[MergeStep]:

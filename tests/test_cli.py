@@ -25,7 +25,7 @@ from happygrid.certify import (
     enumerate_attractors,
 )
 from happygrid.cli import main
-from happygrid.digitmap import DigitSystem
+from happygrid.digitmap import DigitSystem, map_units
 from happygrid.dynamics import classify, step_until_repeat
 from happygrid.gridsort import Grid, format_grid
 
@@ -64,20 +64,40 @@ json_records = st.dictionaries(st.text(), st.recursive(
     max_leaves=40))
 
 
-@given(record=json_records)
-def test_dumps_canonical_is_the_stdlib_layout(record):
-    # keys with non-ASCII and control characters, bools, 5,000-digit ints,
-    # floats and empty containers at any depth; cli.main lifts the
-    # int-to-str digit limit before anything is rendered, and so does this
+@contextlib.contextmanager
+def long_int_strings():
+    # cli.main lifts the int-to-str digit limit before anything is rendered
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         if limit is not None:
             sys.set_int_max_str_digits(max(limit, 10_000))
-        expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
-        assert cli.dumps_canonical(record) == expected
+        yield
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+@given(record=json_records)
+def test_dumps_canonical_is_the_stdlib_layout(record):
+    # keys with non-ASCII and control characters, bools, 5,000-digit ints,
+    # floats and empty containers at any depth
+    with long_int_strings():
+        expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        assert cli.dumps_canonical(record) == expected
+
+
+@given(record=json_records, as_iterators=st.booleans())
+def test_write_canonical_writes_dumps_canonical(record, as_iterators):
+    # list, tuple and iterator values are written item by item, the empty
+    # record and empty arrays included
+    with long_int_strings():
+        expected = cli.dumps_canonical(record)
+        if as_iterators:
+            record = {key: iter(value) if isinstance(value, (list, tuple)) else value
+                      for key, value in record.items()}
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._write_canonical(record)
+    assert out.getvalue() == expected
 
 
 def test_dumps_canonical_edge_values():
@@ -119,6 +139,39 @@ def test_traj_budget_too_small(capsys):
     code, _, err = run_cli(capsys, "traj", "308", "--max-steps", "2")
     assert code == 2
     assert "raise --max-steps" in err
+
+
+def test_traj_work_cap(capsys, monkeypatch):
+    # squares count 4 digits of 4 units a step; the orbit of 4 repeats at step 8
+    assert map_units(DigitSystem(10, 2), 4) == 16
+    monkeypatch.setattr(cli, "MAX_TRAJ_WORK", 16 * 8)
+    assert run_cli(capsys, "traj", "4", "--max-steps", "8")[0] == 0
+    monkeypatch.setattr(cli, "MAX_TRAJ_WORK", 16 * 8 - 1)
+    limit = ("the limit in base 10 exponent 2: 16 units of work a step, "
+             "at most 127 in all\n")
+    assert run_cli(capsys, "traj", "4") == (
+        2, "", "error: orbit of 4 did not repeat within 7 steps, " + limit)
+    assert run_cli(capsys, "traj", "4", "--max-steps", "7") == (
+        2, "", "error: orbit of 4 did not repeat within 7 steps, " + limit)
+    # an explicit budget above the cap is refused before any step
+    monkeypatch.setattr(cli, "step_until_repeat", None)
+    assert run_cli(capsys, "traj", "4", "--max-steps", "8") == (
+        2, "", "error: --max-steps 8 is above the limit of 7 steps in base 10 exponent 2: "
+               "16 units of work a step, at most 127 in all\n")
+
+
+def test_traj_work_cap_witnesses(capsys):
+    # admitted: 35,031 steps from 5 for (10, 100), 202,020 allowed
+    assert cli.MAX_TRAJ_WORK // map_units(DigitSystem(10, 100), 99) == 202_020
+    code, out, _ = run_cli(capsys, "traj", "5", "--exp", "100", "--json")
+    assert code == 0 and len(json.loads(out)["steps"]) == 35_031
+    # refused: base 65536 computes each digit power, about 0.2 s a step at
+    # exponent 2048, and its orbit of 5 does not repeat within the 6 steps allowed
+    code, out, err = run_cli(capsys, "traj", "5", "--base", "65536", "--exp", "2048")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: orbit of 5 did not repeat within 6 steps, the limit")
+    code, _, err = run_cli(capsys, "traj", "5", "--exp", "200", "--max-steps", "1000000")
+    assert code == 2 and "above the limit of 102564 steps" in err
 
 
 def test_classify_and_happy(capsys, tmp_path):
@@ -847,6 +900,15 @@ def test_grid_sort_bubble_refuses_too_much_work(capsys, monkeypatch, tmp_path):
     # the other modes are not capped
     code, out, _ = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "both")
     assert code == 0
+
+
+@pytest.mark.parametrize("mode", ["rows", "cols", "both", None])
+def test_grid_sort_trace_needs_bubble(capsys, monkeypatch, mode):
+    # only the bubble passes make snapshots: any other mode refuses --trace
+    monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED_GRID))
+    argv = ["grid", "sort", "--trace", *(["--mode", mode] if mode else [])]
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: --trace shows the merges of --mode bubble, not of --mode {mode or 'both'}\n")
 
 
 def test_grid_sort_parse_error(capsys, tmp_path):

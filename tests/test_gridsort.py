@@ -362,6 +362,27 @@ def test_tall_grids_pack_64_bit_entries_by_narrower_ranks(rows, cols, shift):
     assert bubble_column_sort(g) == (Grid(column_sorted), rows - 1)
 
 
+@pytest.mark.parametrize("rows, cols, spread, shared", [
+    (127, 129, 100, False),  # one cell below SHARE_CELLS
+    (128, 128, 100, True),  # SHARE_CELLS cells
+    (128, 128, 128 * 128 // 4 - 1, True),  # entries spanning under a quarter of the cells
+    (128, 128, 128 * 128 // 4, False),  # and a quarter of them
+    (300, 70, 50, True)])
+def test_large_bubble_outputs_share_equal_entries(rows, cols, spread, shared):
+    # entries past the small-int cache, the least and the greatest both present
+    assert 127 * 129 + 1 == 128 * 128 == gridsort.SHARE_CELLS
+    rng = random.Random(rows + spread)
+    lo, hi = 10**6, 10**6 + spread
+    cells = [lo, hi] + [rng.randint(lo, hi) for _ in range(rows * cols - 2)]
+    rng.shuffle(cells)
+    g = Grid(tuple(zip(*[iter(cells)] * cols)))
+    out, passes = bubble_column_sort(g)
+    assert (out, passes) == (sort_cols(g), rows - 1)
+    entries = [x for row in out.entries for x in row]
+    objects = len({id(x) for x in entries})
+    assert objects == (len(set(entries)) if shared else len(entries))
+
+
 @given(g=grids(max_rows=6, max_cols=6, lo=-3, hi=3)
        | grids(max_rows=6, max_cols=6, lo=-2**70, hi=2**70)
        | st.sampled_from(FIELD_EDGES).flatmap(
