@@ -4,26 +4,29 @@ Exit codes: 0 success, 1 verification or certification failure, 2 usage
 or parse error.  Numbers cross the boundary as decimal strings so inputs
 of hundreds of digits work; `--json` emits one canonical record per
 invocation (sorted keys, fixed layout) so outputs are byte-stable.
+
+The argument grammar (`cliparse`), the canonical JSON text (`canonical`)
+and grid verify's share runner (`shares`) live in modules of their own to
+keep this one small.  Without a bytecode cache every command compiles its
+modules from source, and the largest compile sets the peak memory of a
+short command: at 1,029 lines this module added 1.6 MB to `--version`.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import itertools
 import json
 import os
-import random
 import sys
-from collections import deque
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from operator import le
 from pathlib import Path
-from typing import NoReturn
 
 from . import __version__
+from .canonical import Json, dumps_canonical, render
 from .certify import (
     AttractorAtlas,
     CertificationError,
@@ -41,6 +44,8 @@ from .certify import (
     validate_atlas,
     verify_range,
 )
+# natural_arg parses a start as the CLI does; perfbench times it from here
+from .cliparse import build_parser, natural_arg
 from .digitmap import DigitSystem, map_units
 from .dynamics import BudgetExceededError, Cycle, classify, step_until_repeat
 from .gridsort import (
@@ -60,8 +65,6 @@ from .gridsort import (
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
-
-DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 
 # `grid verify --exhaustive` checks at most this many grids.  The 3^9 3x3
 # grids take 0.22 s on one CPU and 0.16 s on two, and the 10**6 1x2 grids
@@ -100,10 +103,11 @@ BLOCK_CELLS = 2048
 
 # `grid verify` splits its blocks into contiguous shares, one a CPU and each
 # of at least this many blocks: the first share runs in the process, each
-# other in a forked child (see _verify_shares).  A fork and wait take 1-2 ms,
-# yet two shares of a few blocks lost 3-15 ms to one share, broke even at
-# 8-12 blocks in all and saved 4-5 ms at 16 and 13-18 ms at 24 (8x8 and 3x3
-# grids, medians of 11 alternating subprocess runs; Python 3.11, 2-vCPU Xeon).
+# other in a forked child (see shares.verify_shares).  A fork and wait take
+# 1-2 ms, yet two shares of a few blocks lost 3-15 ms to one share, broke
+# even at 8-12 blocks in all and saved 4-5 ms at 16 and 13-18 ms at 24 (8x8
+# and 3x3 grids, medians of 11 alternating subprocess runs; Python 3.11,
+# 2-vCPU Xeon).
 MIN_SHARE_BLOCKS = 8
 
 # `grid sort --mode bubble --trace` prints at most this many snapshot cells,
@@ -141,15 +145,17 @@ MAX_P_MAX = 10**4
 
 # `traj` walks at most this much work, each step counting digitmap.map_units
 # at p0 digits: a walk that has not repeated by then exits 2, and so does a
-# --max-steps above it.  A walk that repeats maps each cycle member once more
-# to check the cycle, and writes every step: `traj 5 --exp 200`, 222,693 steps
-# of which 182,177 are the cycle, took 5.7 s to walk and 12.0 s in all with
-# --json at 156 MB peak RSS (1.7*10**8 units).  Walks from 5 stopped at this
-# cap took 0.9-1.6 s in bases 65536 and 10**6 + 1, which compute each digit
-# power, 2.0-3.5 s at (10, 200), (10, 1000), (10, 8192), (16, 1000) and
-# (1024, 3276), and 4.1 s at (1024, 100), the costliest a unit, so the longest
-# walk admitted, which checks its cycle and writes its steps, takes about
-# ten seconds (Python 3.11, 2-vCPU Xeon, as subprocesses).
+# --max-steps above it.  A walk that repeats maps no value twice and writes
+# every step: `traj 5 --exp 200`, 222,693 steps of which 182,177 are the
+# cycle (1.7*10**8 units), took 11.1 s with --json at 150 MB peak RSS, in
+# process with the cap lifted, against 18.2 s when each cycle member was
+# mapped once more to check the cycle (a busier host than the times below).
+# Walks from 5 stopped at this cap took 0.9-1.6 s in bases 65536 and
+# 10**6 + 1, which compute each digit power, 2.0-3.5 s at (10, 200),
+# (10, 1000), (10, 8192), (16, 1000) and (1024, 3276), and 4.1 s at
+# (1024, 100), the costliest a unit, so the longest walk admitted, which
+# writes its steps, takes about ten seconds (Python 3.11, 2-vCPU Xeon, as
+# subprocesses).
 MAX_TRAJ_WORK = 8 * 10**7
 
 # A start that is converted to an int holds at most this many digits; a
@@ -180,62 +186,7 @@ class UsageError(Exception):
     """A request that cannot be served as asked: main prints it and exits 2."""
 
 
-# ----------------------------- argument types ------------------------------
-
-def start_arg(text: str) -> str:
-    # The digits without leading zeros: output echoes them, and a long
-    # base-10 start is never converted (see _start_value).  ASCII only, like
-    # the grid parser: str.isdigit alone also accepts fullwidth and
-    # superscript digits.
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"not a nonnegative decimal integer: {text!r}")
-    return text.lstrip("0") or "0"
-
-
-def natural_arg(text: str) -> int:
-    return int(start_arg(text))
-
-
-def ascii_int(text: str) -> int:
-    # int() also reads fullwidth and other Unicode digits.
-    if not text.isascii():
-        raise ValueError(f"not an ASCII integer: {text!r}")
-    return int(text)
-
-
-# argparse names the type in its message: keep "invalid int value: ..."
-ascii_int.__name__ = "int"
-
-
-def int_at_least(minimum: int, message: str):
-    """An argparse type for integers >= minimum, ASCII only; errors quote the text."""
-    def parse(text: str) -> int:
-        try:
-            value = ascii_int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{message}, got {text!r}")
-        return value
-    return parse
-
-
-base_arg = int_at_least(2, "base must be an integer >= 2")
-exponent_arg = int_at_least(1, "exponent must be an integer >= 1")
-positive_arg = int_at_least(1, "expected a positive integer")
-
-
 # --------------------------- canonical structured output -------------------
-
-def dumps_canonical(record: dict) -> str:
-    """One canonical JSON record: sorted keys, two-space indent, newline.
-
-    Byte for byte json.dumps(record, sort_keys=True, indent=2) + "\\n", joined
-    from strings instead of run through the stdlib's pure-Python encoder.
-    Any other JSON value renders the same way.
-    """
-    return _render(record, "\n") + "\n"
-
 
 def _write_canonical(record: dict) -> None:
     """Write dumps_canonical(record) to stdout; every `--json` record goes out here.
@@ -256,41 +207,10 @@ def _write_canonical(record: dict) -> None:
         opening = "["
         for item in value:
             write(opening + "\n    ")
-            write(_render(item, "\n    "))
+            write(render(item, "\n    "))
             opening = ","
         write("[]" if opening == "[" else "\n  ]")
     write("{}\n" if lead == "{" else "\n}\n")
-
-
-class _Json(str):
-    """Canonical JSON text rendered at the depth where it is written: _render
-    copies it as it is."""
-
-
-def _render(value, newline: str) -> str:
-    """One value of a canonical record; newline ends a line at its depth."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is _Json:
-        return value
-    if kind is int:
-        return repr(value)
-    if kind is bool or value is None:
-        return "null" if value is None else "true" if value else "false"
-    inner = newline + "  "
-    if kind is dict and value and all(type(key) is str for key in value):
-        return "{" + inner + ("," + inner).join(
-            encode_basestring_ascii(key) + ": " + _render(item, inner)
-            for key, item in sorted(value.items())) + newline + "}"
-    if (kind is list or kind is tuple) and value:
-        kinds = set(map(type, value))
-        items = (map(repr, value) if kinds == {int} else value if kinds == {_Json}
-                 else (_render(item, inner) for item in value))
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    # floats, empty containers, other keys and types: the stdlib, indented to
-    # this depth (a JSON string holds no raw newline)
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def cycle_record(cycle: Cycle) -> dict:
@@ -659,10 +579,10 @@ def cmd_grid_sort(args) -> int:
     return EXIT_OK
 
 
-def _json_row(row) -> _Json:
+def _json_row(row) -> Json:
     # a row of a trace snapshot is written four levels deep: in the record,
     # the trace list, the snapshot and its grid list
-    return _Json(dumps_canonical(row)[:-1].replace("\n", "\n        "))
+    return Json(dumps_canonical(row)[:-1].replace("\n", "\n        "))
 
 
 def _rendered_trace(grid: Grid, render_row) -> Iterator[tuple[MergeStep, list]]:
@@ -739,8 +659,11 @@ def cmd_grid_verify(args) -> int:
     # each share's first grid, and the grid count past the last share: whole
     # blocks, cut where a single share cuts them
     starts = [min(grids, blocks * i // shares * per_block) for i in range(shares + 1)]
-    checked, problem, grid = (_verify_share(args, 0, grids) if shares == 1
-                              else _verify_shares(args, starts))
+    from .shares import verify_share, verify_shares
+
+    checked, problem, grid = (verify_share(args, 0, grids, _check_grid, BLOCK_CELLS)
+                              if shares == 1
+                              else verify_shares(args, starts, _check_grid, BLOCK_CELLS))
     if grid is None and problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
@@ -753,115 +676,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
-
-
-def _verify_share(args, first: int, stop: int) -> tuple[int, str | None, Grid | None]:
-    """Check grids first to stop - 1 of the run `args` asks for, in its blocks.
-
-    Returns (checked, problem, grid): stop, None, None if every grid passes;
-    the first failing grid's index, its problem and the grid; or, for a
-    block that fails as one but whose grids pass one by one, the index past
-    the block, the message and None.
-    """
-    rows, cols, checked = args.rows, args.cols, first
-    cells = rows * cols
-    per_block = max(1, BLOCK_CELLS // cells)
-    # each block's cells, its grids one after another in row-major order:
-    # every grid over the alphabet, or one draw of the block's random cells,
-    # which takes the same random() calls as a draw per grid
-    if args.exhaustive:
-        generated = itertools.islice(itertools.product(range(args.alphabet), repeat=cells),
-                                     first, stop)
-        blocks = iter(lambda: tuple(itertools.chain.from_iterable(
-            itertools.islice(generated, per_block))), ())
-    else:
-        rng = random.Random(args.seed)
-        # choices makes one random() call a cell: skip the earlier grids' calls
-        deque(itertools.starmap(rng.random, itertools.repeat((), first * cells)), maxlen=0)
-        values = range(args.min, args.max + 1)
-        blocks = (rng.choices(values, k=min(per_block, stop - done) * cells)
-                  for done in range(first, stop, per_block))
-    for block in blocks:
-        # the rows of the block's grids, stacked top to bottom
-        stacked = tuple(zip(*[iter(block)] * cols))
-        # The first grid alone keeps the requested width under test, the rest
-        # go as one stack; a failing block is checked again grid by grid.
-        count = len(stacked) // rows
-        if _check_grid(Grid(stacked[:rows])) is None and (
-                count == 1 or _check_grid(Grid(stacked[rows:]), rows) is None):
-            checked += count
-            continue
-        for top in range(0, len(stacked), rows):
-            grid = Grid(stacked[top:top + rows])
-            problem = _check_grid(grid)
-            if problem is not None:
-                return checked, problem, grid
-            checked += 1
-        return checked, (f"grids {checked - count} to {checked - 1} fail as one block but "
-                         "pass one by one: the kernels let separate grids interact"), None
-    return checked, None, None
-
-
-def _verify_shares(args, starts: list[int]) -> tuple[int, str | None, Grid | None]:
-    """_verify_share on each share of grids starts[i] to starts[i + 1] - 1 at once.
-
-    The first share runs here, each other in a forked child that sends its
-    result back as one JSON line over a pipe.  The first share that is not
-    ok decides, as it would in one run; a worker that raised raises here.
-    No child outlives this call: the later shares are killed and every
-    child is reaped on every way out.
-    """
-    import signal
-
-    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        for first, stop in itertools.pairwise(starts[1:]):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _share_worker(args, first, stop, write, [read, *children.values()])
-            os.close(write)
-            children[pid] = read
-        checked, problem, grid = _verify_share(args, starts[0], starts[1])
-        for (pid, read), first, stop in zip(list(children.items()), starts[1:], starts[2:]):
-            if problem is not None:
-                break
-            with open(read, "rb", closefd=False) as pipe:
-                line = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(children.pop(pid))
-            if code != 0:
-                raise RuntimeError(f"grid verify: the worker on grids {first} to {stop - 1} "
-                                   f"exited with {code}:\n{line.decode(errors='replace')}")
-            checked, problem, grid = json.loads(line)
-            grid = grid and Grid.from_rows(grid)
-        return checked, problem, grid
-    finally:
-        for pid, read in children.items():
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _share_worker(args, first: int, stop: int, write: int, inherited: list[int]) -> NoReturn:
-    """A forked child's whole life: close the pipe ends it inherited, check
-    one share and send its result to `write` as one JSON line, or the
-    traceback if it raised.  os._exit leaves the parent's buffers unflushed
-    and its cleanup unrun; an interrupt exits 1 with nothing sent."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            checked, problem, grid = _verify_share(args, first, stop)
-            code, line = 0, json.dumps([checked, problem, grid and grid.entries])
-        except Exception:
-            import traceback
-            line = traceback.format_exc()
-        with open(write, "wb") as pipe:
-            pipe.write((line + "\n").encode(errors="backslashreplace"))
-    finally:
-        os._exit(code)
 
 
 def _side_by_side(stacked: tuple, rows: int) -> Grid:
@@ -896,111 +710,6 @@ def _grid_report(args, checked: int, grid: Grid | None = None,
     return EXIT_OK if grid is None else EXIT_VERIFICATION_FAILED
 
 
-# --------------------------------- parser ----------------------------------
-
-def _add_system_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--base", type=base_arg, default=10,
-                        help="digit base, >= 2 (default 10)")
-    parser.add_argument("--exp", type=exponent_arg, default=2,
-                        help="digit exponent, >= 1 (default 2)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit one canonical JSON record")
-
-
-def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-dir", type=Path, default=DEFAULT_CACHE_DIR,
-                        help=f"atlas cache directory (default {DEFAULT_CACHE_DIR})")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="happygrid",
-        description="Digit-power-sum orbits with certified attractor atlases, "
-                    "and the sorted-rows-stay-sorted grid theorem.",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    traj = commands.add_parser("traj", help="iterate the map from N until a repeat")
-    traj.add_argument("n", type=start_arg, metavar="N",
-                      help="start value, any number of decimal digits")
-    traj.add_argument("--max-steps", type=positive_arg, default=None,
-                      help="step budget (default: certified bound)")
-    _add_system_flags(traj)
-    traj.set_defaults(handler=cmd_traj)
-
-    cls = commands.add_parser("classify", help="name the attractor N reaches")
-    cls.add_argument("n", type=start_arg, metavar="N")
-    _add_system_flags(cls)
-    _add_cache_flag(cls)
-    cls.set_defaults(handler=cmd_classify)
-
-    happy = commands.add_parser("happy", help="does the orbit of N reach 1?")
-    happy.add_argument("n", type=start_arg, metavar="N")
-    _add_system_flags(happy)
-    _add_cache_flag(happy)
-    happy.set_defaults(handler=cmd_classify)
-
-    attractors = commands.add_parser(
-        "attractors", help="the certified attractor atlas of a digit system")
-    _add_system_flags(attractors)
-    _add_cache_flag(attractors)
-    attractors.set_defaults(handler=cmd_attractors)
-
-    certify = commands.add_parser(
-        "certify", help="run every certification stage for a digit system")
-    _add_system_flags(certify)
-    certify.add_argument("--p-max", type=positive_arg, default=100,
-                         help="top of the threshold inequality scan (default 100)")
-    certify.add_argument("--lo", type=natural_arg, default=None,
-                         help="range verification start (default 0)")
-    certify.add_argument("--hi", type=natural_arg, default=None,
-                         help="range verification end (default brute bound)")
-    certify.add_argument("--max-steps", type=positive_arg, default=None,
-                         help="per-value step budget for range verification")
-    certify.add_argument("--drop-attractor", type=natural_arg, default=None,
-                         help=argparse.SUPPRESS)  # test hook: truncate the atlas
-    certify.set_defaults(handler=cmd_certify)
-
-    grid = commands.add_parser("grid", help="integer grid sorting")
-    grid_commands = grid.add_subparsers(dest="grid_command", required=True)
-
-    gsort = grid_commands.add_parser("sort", help="sort a grid from a file or stdin")
-    gsort.add_argument("file", nargs="?", default="-",
-                       help="grid file; '-' or omitted reads stdin")
-    gsort.add_argument("--mode", choices=("rows", "cols", "both", "bubble"),
-                       default="both",
-                       help="rows, cols, rows-then-cols, or bubble passes")
-    gsort.add_argument("--trace", action="store_true",
-                       help="with --mode bubble, print every merge snapshot")
-    gsort.add_argument("--json", action="store_true",
-                       help="emit one canonical JSON record")
-    gsort.set_defaults(handler=cmd_grid_sort)
-
-    gverify = grid_commands.add_parser(
-        "verify", help="check the sorting theorem on generated grids")
-    gverify.add_argument("--rows", type=positive_arg, default=3)
-    gverify.add_argument("--cols", type=positive_arg, default=3)
-    gverify.add_argument("--trials", type=positive_arg, default=1000,
-                         help="number of random grids (default 1000)")
-    gverify.add_argument("--seed", type=ascii_int, default=0,
-                         help="random seed; reproducers quote it")
-    gverify.add_argument("--min", type=ascii_int, default=-1000,
-                         help="smallest entry value (default -1000)")
-    gverify.add_argument("--max", type=ascii_int, default=1000,
-                         help="largest entry value (default 1000)")
-    gverify.add_argument("--exhaustive", action="store_true",
-                         help="enumerate every grid over --alphabet instead")
-    gverify.add_argument("--alphabet", type=positive_arg, default=3,
-                         help="exhaustive mode uses entries 0..K-1 (default 3)")
-    gverify.add_argument("--json", action="store_true",
-                         help="emit one canonical JSON record")
-    gverify.set_defaults(handler=cmd_grid_verify)
-
-    return parser
-
-
 def main(argv=None) -> int:
     # Starts of up to MAX_START_DIGITS digits are converted, so lift the
     # int<->str conversion guard that far; a longer --lo or --hi is then a
@@ -1015,7 +724,7 @@ def main(argv=None) -> int:
         sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
                           errors=sys.stdout.errors, closefd=False)
     try:
-        code = args.handler(args)
+        code = globals()[args.handler](args)  # the parser names each command's cmd_*
         sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
         return code
     except (TooLargeError, UsageError) as exc:

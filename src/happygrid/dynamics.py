@@ -94,7 +94,10 @@ def step_until_repeat(n: int, sys: DigitSystem, max_steps: int) -> Trajectory:
     """Iterate the map from n until a value repeats, within max_steps.
 
     The repeated suffix is extracted as the terminal cycle; everything
-    before its first entry is the transient.
+    before its first entry is the transient.  The suffix is distinct and
+    consecutive under the map by construction, and closes onto its first
+    member, so rotating it to its minimum is the whole canonical form: no
+    member is mapped again.
     """
     n = as_natural(n)
     if max_steps < 1:
@@ -106,10 +109,11 @@ def step_until_repeat(n: int, sys: DigitSystem, max_steps: int) -> Trajectory:
         current = digit_power_sum(current, sys)
         hit = first_seen.get(current)
         if hit is not None:
+            pivot = steps.index(min(steps[hit:]), hit)
             return Trajectory(
                 steps=tuple(steps),
                 entry_index=hit,
-                terminal=canonicalize_cycle(steps[hit:], sys),
+                terminal=Cycle(tuple(steps[pivot:] + steps[hit:pivot])),
             )
         first_seen[current] = len(steps)
         steps.append(current)

@@ -1187,6 +1187,10 @@ RANDOM_3X3 = ["grid", "verify", "--seed", "42"]
 EXHAUSTIVE_3X3 = ["grid", "verify", "--exhaustive"]
 RANDOM_1X5 = [*RANDOM_3X3, "--rows", "1", "--cols", "5"]
 RANDOM_5X1 = [*RANDOM_3X3, "--rows", "5", "--cols", "1"]
+# A share draws from a list of the values when the range holds no more values
+# than a block has cells, and from the range itself above that.
+LIST_RANGE = [*RANDOM_3X3, "--min", "0", "--max", str(cli.BLOCK_CELLS - 1)]
+WIDE_RANGE = [*RANDOM_3X3, "--min", "0", "--max", str(cli.BLOCK_CELLS)]
 
 
 # A kernel broken on grids that hold a chosen grid breaks every block holding
@@ -1339,10 +1343,35 @@ def test_grid_verify_in_shares_reports_the_first_bad_grid(capsys, monkeypatch, a
     [*RANDOM_3X3, "--rows", "8", "--cols", "8", "--trials", "500"],
     [*EXHAUSTIVE_3X3, "--json"],
     [*EXHAUSTIVE_3X3, "--rows", "1", "--cols", "2", "--alphabet", "100"],
+    LIST_RANGE,
+    WIDE_RANGE,
 ], ids=lambda argv: " ".join(argv[2:]))
 def test_grid_verify_passes_alike_in_shares(capsys, monkeypatch, argv):
     code, out, err = assert_same_in_shares(capsys, monkeypatch, *argv)
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv, population", [(LIST_RANGE, list), (WIDE_RANGE, range)],
+                         ids=["list", "range"])
+def test_grid_verify_draws_alike_on_both_sides_of_the_list_gate(capsys, monkeypatch, argv,
+                                                                population):
+    # the reference draws every grid from the range; grid 700 is in share 2
+    break_kernel(monkeypatch, "sort_cols", holds_grid(argv, 700, "sort_cols"))
+    at, grid, problem = first_bad_grid(argv)
+    assert at == 700 and share_of(argv, at) == 2
+    drawn_from = set()
+    choices = random.Random.choices
+
+    def recorded(self, values, *rest, **options):
+        drawn_from.add(type(values))
+        return choices(self, values, *rest, **options)
+
+    monkeypatch.setattr(random.Random, "choices", recorded)
+    code, out, err = assert_same_in_shares(capsys, monkeypatch, *argv, "--json")
+    assert drawn_from == {population}
+    assert code == 1 and err == ""
+    assert json.loads(out)["counterexample"] == {
+        "index": at, "problem": problem, "grid": [list(row) for row in grid.entries]}
 
 
 @pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
@@ -1530,6 +1559,30 @@ def test_cli_import_leaves_out_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_only_grid_verify_loads_the_share_runner(tmp_path):
+    # every command compiles what it imports when bytecode is not cached, so
+    # the share runner stays out of all but grid verify
+    (tmp_path / "grid.txt").write_text(WORKED_GRID, encoding="utf-8")
+    script = ("import contextlib, io, sys\n"
+              "from happygrid import cli\n"
+              "def loaded(*argv):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(list(argv)) == 0, argv\n"
+              "    return 'happygrid.shares' in sys.modules\n"
+              "print([loaded('classify', '7', '--cache-dir', sys.argv[1]),\n"
+              "       loaded('certify', '--exp', '3'),\n"
+              "       loaded('grid', 'sort', sys.argv[2]),\n"
+              "       loaded('grid', 'verify', '--trials', '10')])\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "cache"), str(tmp_path / "grid.txt")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[False, False, False, True]\n"
 
 
 def test_version_flag(capsys):

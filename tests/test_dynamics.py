@@ -11,6 +11,7 @@ from happygrid import (
     digit_power_sum,
     step_until_repeat,
 )
+from happygrid import dynamics
 
 from conftest import EIGHT_CYCLE
 
@@ -48,6 +49,24 @@ def test_trajectory_invariants_hold(squares):
     assert traj.steps[traj.entry_index] in members
     assert all(v not in members for v in traj.steps[: traj.entry_index])
     assert len(set(traj.steps)) == len(traj.steps)
+
+
+def test_walk_into_a_long_cycle_maps_each_step_once(monkeypatch):
+    # 5 under (10, 18) enters a cycle of 963 members after 33 steps: the walk
+    # maps each of its 996 values once, and the cycle is not mapped again
+    system = DigitSystem(10, 18)
+    calls = []
+
+    def counted(n, sys):
+        calls.append(n)
+        return digit_power_sum(n, sys)
+
+    monkeypatch.setattr(dynamics, "digit_power_sum", counted)
+    traj = step_until_repeat(5, system, 10_000)
+    assert (len(traj.steps), traj.entry_index, traj.terminal.length) == (996, 33, 963)
+    assert calls == list(traj.steps)
+    monkeypatch.undo()
+    assert traj.terminal == canonicalize_cycle(traj.steps[traj.entry_index:], system)
 
 
 def test_determinism(squares):
