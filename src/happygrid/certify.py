@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 from .digitmap import DigitSystem, as_natural, digit_count, digit_power_sum
 from .dynamics import Cycle, canonicalize_cycle
+from .limits import TooLargeError, brief
 
 # The most values one verified range or one atlas may cover.  (10, 6) has
 # B + 1 = 10**7.  `certify --exp 6` reads its 11,440 digit multisets and
@@ -59,17 +60,6 @@ MAX_RANGE_WORK = 15 * 10**7
 
 class CertificationError(RuntimeError):
     """An internal consistency check failed; certification is void."""
-
-
-class TooLargeError(ValueError):
-    """The work asked for exceeds a size limit; nothing was built."""
-
-
-def brief(n: int) -> str:
-    """n in decimal, or past 30 digits its digit count: a refusal stays one short line."""
-    if -10**30 < n < 10**30:
-        return str(n)
-    return f"{'-' * (n < 0)}<{digit_count(abs(n), DigitSystem(10, 1))} digits>"
 
 
 def check_size(count: int, what: str) -> None:

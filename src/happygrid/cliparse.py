@@ -1,7 +1,7 @@
 """The CLI's argument grammar: argument types, flags and the parser.
 
 Each command records the name of its handler in `handler`; `cli.main`
-looks that name up among its commands and runs it.
+looks that name up among the names `cli` binds and runs it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "happygrid"
 
 def start_arg(text: str) -> str:
     # The digits without leading zeros: output echoes them, and a long
-    # base-10 start is never converted (see cli._start_value).  ASCII only,
+    # base-10 start is never converted (see digitcli._start_value).  ASCII only,
     # like the grid parser: str.isdigit alone also accepts fullwidth and
     # superscript digits.
     if not (text.isascii() and text.isdigit()):

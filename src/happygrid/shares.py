@@ -1,7 +1,9 @@
 """`grid verify`'s share runner: check a run's grids in blocks, on every CPU.
 
-cli.cmd_grid_verify imports this module when it runs and hands it the
-grid check, cli._check_grid, and the block size, cli.BLOCK_CELLS.
+gridcli.cmd_grid_verify imports this module when it runs and hands it the
+grid check, gridcli._check_grid, and the block size, cli.BLOCK_CELLS.  The
+check calls each grid kernel through `cli`, so a wrapper or patch set there
+reaches a forked share too.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import gc
+import importlib
 import io
 import itertools
 import json
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import happygrid
 import happygrid.certify as certify
 import happygrid.cli as cli
 import happygrid.dynamics as dynamics
@@ -1583,6 +1586,128 @@ def test_only_grid_verify_loads_the_share_runner(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[False, False, False, True]\n"
+
+
+DIGIT_HALF = {"happygrid.certify", "happygrid.dynamics", "happygrid.digitmap",
+              "happygrid.digitcli"}
+GRID_HALF = {"happygrid.gridsort", "happygrid.shares", "happygrid.gridcli"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ([], DIGIT_HALF | GRID_HALF | {"happygrid.cli"}),
+    (["--version"], DIGIT_HALF | GRID_HALF),
+    (["grid", "sort", "GRID"], DIGIT_HALF),
+    (["grid", "verify", "--trials", "10"], DIGIT_HALF),
+    (["classify", "7", "--cache-dir", "CACHE"], GRID_HALF),
+    (["happy", "7", "--cache-dir", "CACHE"], GRID_HALF),
+    (["traj", "7"], GRID_HALF),
+    (["attractors", "--cache-dir", "CACHE"], GRID_HALF),
+    (["certify", "--exp", "3"], GRID_HALF),
+], ids=["import", "version", "grid-sort", "grid-verify", "classify", "happy", "traj",
+        "attractors", "certify"])
+def test_each_command_loads_only_its_own_half(tmp_path, argv, absent):
+    # every command compiles what it imports when bytecode is not cached;
+    # with no argv the script only imports the package
+    (tmp_path / "grid.txt").write_text(WORKED_GRID, encoding="utf-8")
+    argv = [{"GRID": str(tmp_path / "grid.txt"), "CACHE": str(tmp_path)}.get(a, a)
+            for a in argv]
+    script = ("import contextlib, io, sys\n"
+              "import happygrid\n"
+              "if sys.argv[1:]:\n"
+              "    from happygrid.cli import main\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        try:\n"
+              "            assert main(sys.argv[1:]) == 0\n"
+              "        except SystemExit as exc:\n"
+              "            assert exc.code == 0\n"
+              "print(' '.join(sorted(m for m in sys.modules if m.startswith('happygrid'))))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "happygrid" in loaded
+    assert not loaded & absent, sorted(loaded & absent)
+
+
+def _perfbench_targets() -> list[str]:
+    """The `happygrid.cli.*` names perfbench/run.py wraps, read from its source."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    found = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("SPANNED", "CACHE_LOADER")}
+    targets = [*found["SPANNED"].values(), found["CACHE_LOADER"][1]]
+    assert targets and all(t.startswith("happygrid.cli.") for t in targets)
+    return [t.removeprefix("happygrid.cli.") for t in targets]
+
+
+@pytest.mark.parametrize("module", ["digitcli", "gridcli"])
+def test_command_modules_call_bound_names_through_cli(module):
+    # perfbench wraps, and tests patch, names where cli binds them: a name the
+    # command module imported for itself would slip past both
+    src = Path(cli.__file__).with_name(f"{module}.py")
+    tree = ast.parse(src.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "cli"
+                   for node in ast.walk(tree))
+    # beside perfbench's names, the caps and the two other names tests patch
+    bound = {*_perfbench_targets(), *(name for name in vars(cli) if name.isupper()),
+             "_cpus", "digit_reduction_threshold"}
+    assert not imported & bound, sorted(imported & bound)
+    # cli binds every function the module defines
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert defined and defined <= set(cli._HOMES[module])
+
+
+def test_lazy_names_resolve_to_their_modules():
+    for name in _perfbench_targets():
+        value = getattr(cli, name)
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    for home, names in happygrid._HOMES.items():
+        for name in names:
+            assert getattr(happygrid, name) is getattr(
+                importlib.import_module(f"happygrid.{home}"), name)
+    assert set(happygrid.__all__) == {n for names in happygrid._HOMES.values() for n in names}
+    namespace: dict = {}
+    exec("from happygrid import *", namespace)
+    assert set(happygrid.__all__) <= namespace.keys()
+    assert happygrid.TooLargeError is certify.TooLargeError
+    # the import machinery probes for these and needs AttributeError
+    for module in (happygrid, cli):
+        for name in ("no_such_name", "__path__", "shares"):
+            with pytest.raises(AttributeError):
+                module.__getattr__(name)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_traj_writes_each_step_as_it_goes(monkeypatch, json_flag):
+    # the walk of 5 in (10, 40) has 2,018 steps, their decimal strings
+    # 0.17 MiB; a list of them all made the output's peak 0.30-0.39 MiB, and
+    # written one at a time it is 0.08-0.11 MiB, mostly the parser
+    walk = step_until_repeat(5, DigitSystem(10, 40), 10**4)
+    texts = sum(sys.getsizeof(str(v)) for v in walk.steps)
+    monkeypatch.setattr(cli, "step_until_repeat", lambda *_: walk)
+    argv = ["traj", "5", "--exp", "40", *json_flag]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < texts, f"peak {peak / 2**20:.2f} MiB, steps {texts / 2**20:.2f} MiB"
+    written = out.getvalue()
+    if json_flag:
+        assert json.loads(written)["steps"] == [str(v) for v in walk.steps]
+    else:
+        assert written.splitlines()[1] == "orbit: " + " ".join(map(str, walk.steps))
 
 
 def test_version_flag(capsys):
