@@ -1,7 +1,7 @@
 """The CLI's argument grammar: argument types, flags and the parser.
 
-Each command records the name of its handler in `handler`; `cli.main`
-looks that name up among the names `cli` binds and runs it.
+Each command records its handler in `handler` as module.function, such as
+`digitcli.cmd_traj`; `cli.main` imports that module and runs the function.
 """
 
 from __future__ import annotations
@@ -91,25 +91,25 @@ def build_parser() -> argparse.ArgumentParser:
     traj.add_argument("--max-steps", type=positive_arg, default=None,
                       help="step budget (default: certified bound)")
     _add_system_flags(traj)
-    traj.set_defaults(handler="cmd_traj")
+    traj.set_defaults(handler="digitcli.cmd_traj")
 
     cls = commands.add_parser("classify", help="name the attractor N reaches")
     cls.add_argument("n", type=start_arg, metavar="N")
     _add_system_flags(cls)
     _add_cache_flag(cls)
-    cls.set_defaults(handler="cmd_classify")
+    cls.set_defaults(handler="digitcli.cmd_classify")
 
     happy = commands.add_parser("happy", help="does the orbit of N reach 1?")
     happy.add_argument("n", type=start_arg, metavar="N")
     _add_system_flags(happy)
     _add_cache_flag(happy)
-    happy.set_defaults(handler="cmd_classify")
+    happy.set_defaults(handler="digitcli.cmd_classify")
 
     attractors = commands.add_parser(
         "attractors", help="the certified attractor atlas of a digit system")
     _add_system_flags(attractors)
     _add_cache_flag(attractors)
-    attractors.set_defaults(handler="cmd_attractors")
+    attractors.set_defaults(handler="digitcli.cmd_attractors")
 
     certify = commands.add_parser(
         "certify", help="run every certification stage for a digit system")
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-value step budget for range verification")
     certify.add_argument("--drop-attractor", type=natural_arg, default=None,
                          help=argparse.SUPPRESS)  # test hook: truncate the atlas
-    certify.set_defaults(handler="cmd_certify")
+    certify.set_defaults(handler="digitcli.cmd_certify")
 
     grid = commands.add_parser("grid", help="integer grid sorting")
     grid_commands = grid.add_subparsers(dest="grid_command", required=True)
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --mode bubble, print every merge snapshot")
     gsort.add_argument("--json", action="store_true",
                        help="emit one canonical JSON record")
-    gsort.set_defaults(handler="cmd_grid_sort")
+    gsort.set_defaults(handler="gridcli.cmd_grid_sort")
 
     gverify = grid_commands.add_parser(
         "verify", help="check the sorting theorem on generated grids")
@@ -159,6 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exhaustive mode uses entries 0..K-1 (default 3)")
     gverify.add_argument("--json", action="store_true",
                          help="emit one canonical JSON record")
-    gverify.set_defaults(handler="cmd_grid_verify")
+    gverify.set_defaults(handler="gridcli.cmd_grid_verify")
 
     return parser

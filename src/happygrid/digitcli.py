@@ -1,10 +1,10 @@
 """The digit commands: traj, classify and happy, attractors and certify,
-with the atlas record and the atlas cache.
+with their caps, the atlas record and the atlas cache.
 
-`cli` binds this module's names and runs its commands.  Every cap, every
-library function perfbench wraps at `happygrid.cli` and every name a test
-patches there is read through `cli`, so a wrapper or a patch on `cli`
-reaches the call made here.
+`cli.main` runs this module's commands.  They call every library function
+that `cli` binds through `cli`, where perfbench wraps and tests patch them,
+and read `cli.MAX_START_DIGITS`, which `main` also reads, so a wrapper or a
+patch on `cli` reaches the call made here.
 """
 
 from __future__ import annotations
@@ -27,6 +27,37 @@ from .certify import (
 from .digitmap import DigitSystem, map_units
 from .dynamics import BudgetExceededError, Cycle
 from .limits import TooLargeError, brief
+
+# The digit weight (base - 1)**exponent, counted as exponent times the bit
+# length of base - 1, holds at most this many bits.  Every digit of a value
+# adds a power of that size, and the threshold scan grows quadratically with
+# it.  At 2**15 bits the scan takes 0.01-0.03 s.  The second and third map
+# steps from 5 take 1-9 ms in bases 3 to 1024, which read their digit powers
+# from a table built once in 0.1 s or less, and 0.03-0.3 s in bases 2**16 and
+# 10**6 + 1, which compute each power.  Base 10 with exponent 20,000 takes
+# 0.02 s a step and exponent 100,000 0.6 s (Python 3.11, 2-vCPU Xeon).
+MAX_WEIGHT_BITS = 2**15
+
+# `traj` walks at most this much work, each step counting digitmap.map_units
+# at p0 digits: a walk that has not repeated by then exits 2, and so does a
+# --max-steps above it.  A walk that repeats maps no value twice and writes
+# every step: `traj 5 --exp 200`, 222,693 steps of which 182,177 are the
+# cycle (1.7*10**8 units), took 11.1 s with --json at 150 MB peak RSS, in
+# process with the cap lifted, against 18.2 s when each cycle member was
+# mapped once more to check the cycle (a busier host than the times below).
+# Walks from 5 stopped at this cap took 0.9-1.6 s in bases 65536 and
+# 10**6 + 1, which compute each digit power, 2.0-3.5 s at (10, 200),
+# (10, 1000), (10, 8192), (16, 1000) and (1024, 3276), and 4.1 s at
+# (1024, 100), the costliest a unit, so the longest walk admitted, which
+# writes its steps, takes about ten seconds (Python 3.11, 2-vCPU Xeon, as
+# subprocesses).
+MAX_TRAJ_WORK = 8 * 10**7
+
+# `certify --p-max` scans the threshold inequality at most this far.  The
+# scan multiplies a running base**(p - 1) by the base once per p, so it grows
+# about as p**2 * log(base): 10**4 takes 0.01 s for base 10 and 0.05 s for
+# base 10**6, and 10**5 takes 0.9 s for base 10 (Python 3.11, 2-vCPU Xeon).
+MAX_P_MAX = 10**4
 
 
 def cycle_record(cycle: Cycle) -> dict:
@@ -134,9 +165,9 @@ def load_or_build_atlas(system: DigitSystem, cache_dir: Path) -> AttractorAtlas:
 def _digit_system(args) -> DigitSystem:
     """The digit system of --base and --exp, refused above MAX_WEIGHT_BITS before any work."""
     bits = args.exp * (args.base - 1).bit_length()
-    if bits > cli.MAX_WEIGHT_BITS:
+    if bits > MAX_WEIGHT_BITS:
         raise TooLargeError(f"the digit weight (base - 1)**exponent holds up to {bits} bits, "
-                            f"above the limit of {cli.MAX_WEIGHT_BITS}")
+                            f"above the limit of {MAX_WEIGHT_BITS}")
     return DigitSystem(args.base, args.exp)
 
 
@@ -161,9 +192,9 @@ def cmd_traj(args) -> int:
     system = _digit_system(args)
     # each step counted at p0 digits, one more than a value of [0, B] has
     units = map_units(system, cli.digit_reduction_threshold(system))
-    most = cli.MAX_TRAJ_WORK // units
+    most = MAX_TRAJ_WORK // units
     limit = (f"in base {system.base} exponent {system.exponent}: {units} units of work a step, "
-             f"at most {cli.MAX_TRAJ_WORK} in all")
+             f"at most {MAX_TRAJ_WORK} in all")
     if args.max_steps is not None and args.max_steps > most:
         raise TooLargeError(f"--max-steps {brief(args.max_steps)} is above the limit of {most} "
                             f"steps {limit}")
@@ -281,8 +312,8 @@ def _range_stage(name: str, atlas: AttractorAtlas, lo: int, hi: int,
 
 
 def cmd_certify(args) -> int:
-    if args.p_max > cli.MAX_P_MAX:
-        raise TooLargeError(f"--p-max {brief(args.p_max)} is above the limit of {cli.MAX_P_MAX}")
+    if args.p_max > MAX_P_MAX:
+        raise TooLargeError(f"--p-max {brief(args.p_max)} is above the limit of {MAX_P_MAX}")
     system = _digit_system(args)
     p_max = max(args.p_max, cli.digit_reduction_threshold(system))
     lo = args.lo if args.lo is not None else 0

@@ -1,16 +1,15 @@
-"""The grid commands: grid sort and grid verify, with the grid check that
-grid verify's share runner calls.
+"""The grid commands: grid sort and grid verify, with their caps and the
+grid check that grid verify's share runner calls.
 
-`cli` binds this module's names and runs its commands.  Every cap, every
-grid kernel perfbench wraps at `happygrid.cli` and every name a test
-patches there is read through `cli`, so a wrapper or a patch on `cli`
-reaches the call made here, in a forked share too.
+`cli.main` runs this module's commands.  They call every grid kernel that
+`cli` binds through `cli`, where perfbench wraps and tests patch them, so
+a wrapper or a patch on `cli` reaches the call made here, in a forked
+share too.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 from collections.abc import Iterator
 from operator import le
@@ -20,6 +19,63 @@ from . import cli
 from .canonical import Json
 from .gridsort import Grid, GridParseError, MergeStep, format_grid, format_row, is_cols_sorted
 from .limits import TooLargeError, brief
+
+# `grid verify --exhaustive` checks at most this many grids.  The 3^9 3x3
+# grids take 0.22 s on one CPU and 0.16 s on two, and the 10**6 1x2 grids
+# over 1000 values 2.0-2.3 s on one CPU and 1.0-1.1 s on two (Python 3.11,
+# 2-vCPU Xeon, as subprocesses).
+MAX_EXHAUSTIVE_GRIDS = 10**6
+
+# `grid verify` checks at most this many cells in all, a cell counting once
+# per started block of 16 rows of its grid, since the bubble passes merge a
+# column of n rows n(n-1)/2 times.  The costliest shapes per counted cell
+# are a single tall column and single cells: the largest column allowed,
+# 5649x1, one grid and so one share, takes 5.6-6.2 s on one CPU or two
+# (8.7-10.5 s on a busier host), and 2*10**6 1x1 grids, checked in blocks,
+# 2.4-3.1 s on one CPU and 1.3-1.7 s on two (Python 3.11, 2-vCPU Xeon, as
+# subprocesses), so the largest request allowed takes about ten seconds.
+MAX_GRID_CELLS = 2 * 10**6
+
+# `grid verify` checks no grid of more cells than this.  Memory grows with
+# the largest grid, not with the cells in all: the verify path holds several
+# tuple copies of a grid, and single rows cost most, since each column
+# becomes a tuple of its own (a single row is never packed).  One 1x(10**5)
+# grid peaks at 36 MB, 38 MB when its entries are distinct, against 16 MB
+# for a 1x1 grid, about 205-225 bytes a cell, and 1x(5*10**5) at 120 MB,
+# 130 MB with distinct entries (Python 3.11, 2-vCPU Xeon).
+MAX_CELLS_PER_GRID = 10**5
+
+# `grid verify` draws from value ranges of at most this many values.
+# random.choices takes floor(random() * n) from a 53-bit float, so a wider
+# range would be drawn unevenly and parts of it never.
+MAX_DRAWN_VALUES = 2**53
+
+# `grid sort --mode bubble --trace` prints at most this many snapshot cells,
+# n(n-1)/2 snapshots of n x p cells, which bound its output size: an 80x80
+# trace's 2.02*10**7 cells write 89 MB as text and 317 MB as JSON, and a
+# 180x180 trace, 5.2*10**8 cells, would write about 8 GB of JSON.  Each
+# snapshot is written as it is made, from row texts kept across the trace
+# (see _rendered_trace), so memory stays flat and time stays small: the
+# 80x80 trace takes 0.25-0.27 s as text and 0.41-0.42 s as JSON into
+# /dev/null, at 16 MB peak RSS (Python 3.11, 2-vCPU Xeon, as subprocesses).
+MAX_TRACE_CELLS = 25 * 10**6
+
+# `grid sort --mode bubble` runs at most this much work, its n(n-1)/2 merges
+# counting 64 each plus one per column: neither merges nor cells alone track
+# the time.  A merge of packed rows costs 0.4-0.9 us at 1-30 columns, and at
+# 1000 columns 4.4 us of 16-bit fields, 5.4 us of 32-bit ones and 11.3 us of
+# 64-bit ones (entries spanning more than 2**31 in fewer than
+# gridsort.RANK_ROWS rows), so a unit takes 4-11 ns.  The 5649x1 grid
+# `grid verify` allows counts 1.04*10**9 units and takes 8.5-11.2 s, the
+# largest column allowed, 5818x1, 9.6-11.8 s, and a 1000x1000 grid
+# 5.3*10**8 units and 2.9 s over [-1000, 1000], 7.9 s over +-2**40 by 32-bit
+# ranks (7.7 s in 64-bit fields); the costliest allowed, 1438x1000 over
+# +-2**40, takes 10.2-11.6 s by ranks, 15.0-16.2 s in 64-bit fields,
+# parsing and printing included (Python 3.11, 2-vCPU Xeon, as subprocesses).
+# Its peak RSS is 286 MB, set by gridsort._rank_pack's rank table over the parsed
+# grid, or 234 MB in 64-bit fields, set by parse_grid; a 1000x1000 sort over
+# [-1000, 1000] peaks at 32 MB with --json, its output sharing equal entries.
+MAX_BUBBLE_WORK = 11 * 10**8
 
 
 def cmd_grid_sort(args) -> int:
@@ -45,16 +101,16 @@ def cmd_grid_sort(args) -> int:
     else:
         pairs = grid.rows * (grid.rows - 1) // 2
         cells = pairs * grid.rows * grid.cols
-        if args.trace and cells > cli.MAX_TRACE_CELLS:
+        if args.trace and cells > MAX_TRACE_CELLS:
             raise TooLargeError(f"a traced bubble sort of a {brief(grid.rows)}x{brief(grid.cols)} "
                                 f"grid holds {brief(cells)} snapshot cells, above the limit of "
-                                f"{cli.MAX_TRACE_CELLS}")
+                                f"{MAX_TRACE_CELLS}")
         work = pairs * (64 + grid.cols)
-        if work > cli.MAX_BUBBLE_WORK:
+        if work > MAX_BUBBLE_WORK:
             raise TooLargeError(f"a bubble sort of a {brief(grid.rows)}x{brief(grid.cols)} grid "
                                 f"counts {brief(work)} units of work ({brief(pairs)} merges "
                                 f"of 64 units plus one a column), above the limit of "
-                                f"{cli.MAX_BUBBLE_WORK}")
+                                f"{MAX_BUBBLE_WORK}")
         # the trace key sorts last, so the output and pass count come first,
         # from an untraced sort that costs a few ms even at 80x80
         sorted_grid, record["pass_count"] = cli.bubble_column_sort(grid)
@@ -133,51 +189,34 @@ def cmd_grid_verify(args) -> int:
     if args.exhaustive:
         # An alphabet of 2 or more exceeds the cap once cells reaches the
         # cap's bit length, so the power is never taken further than that.
-        grids = args.alphabet ** min(cells, cli.MAX_EXHAUSTIVE_GRIDS.bit_length())
-        if grids > cli.MAX_EXHAUSTIVE_GRIDS:
+        grids = args.alphabet ** min(cells, MAX_EXHAUSTIVE_GRIDS.bit_length())
+        if grids > MAX_EXHAUSTIVE_GRIDS:
             raise TooLargeError(f"{brief(args.alphabet)}^{brief(cells)} grids of shape {shape} "
-                                f"exceed the limit of {cli.MAX_EXHAUSTIVE_GRIDS}")
+                                f"exceed the limit of {MAX_EXHAUSTIVE_GRIDS}")
     elif args.min > args.max:
         raise cli.UsageError(f"empty value range [{brief(args.min)}, {brief(args.max)}]")
-    elif args.max - args.min + 1 > cli.MAX_DRAWN_VALUES:
+    elif args.max - args.min + 1 > MAX_DRAWN_VALUES:
         raise TooLargeError(f"value range [{brief(args.min)}, {brief(args.max)}] holds "
                             f"{brief(args.max - args.min + 1)} values, above the limit of "
-                            f"{cli.MAX_DRAWN_VALUES}")
+                            f"{MAX_DRAWN_VALUES}")
     else:
         grids = args.trials
     counted = grids * cells * -(-args.rows // 16)
-    if counted > cli.MAX_GRID_CELLS:
+    if counted > MAX_GRID_CELLS:
         raise TooLargeError(f"{brief(grids)} grids of shape {shape} count {brief(counted)} "
-                            f"cells, above the limit of {cli.MAX_GRID_CELLS} (a cell counts once "
+                            f"cells, above the limit of {MAX_GRID_CELLS} (a cell counts once "
                             "per 16 rows)")
-    if cells > cli.MAX_CELLS_PER_GRID:
+    if cells > MAX_CELLS_PER_GRID:
         raise TooLargeError(f"a grid of shape {shape} holds {brief(cells)} cells, "
-                            f"above the limit of {cli.MAX_CELLS_PER_GRID} per grid")
+                            f"above the limit of {MAX_CELLS_PER_GRID} per grid")
 
-    per_block = max(1, cli.BLOCK_CELLS // cells)
-    blocks = -(-grids // per_block)
-    shares = (max(1, min(cli._cpus(), blocks // cli.MIN_SHARE_BLOCKS))
-              if hasattr(os, "fork") else 1)
-    # each share's first grid, and the grid count past the last share: whole
-    # blocks, cut where a single share cuts them
-    starts = [min(grids, blocks * i // shares * per_block) for i in range(shares + 1)]
-    from .shares import verify_share, verify_shares
+    from . import shares  # only grid verify loads the share runner
 
-    checked, problem, grid = (verify_share(args, 0, grids, _check_grid, cli.BLOCK_CELLS)
-                              if shares == 1
-                              else verify_shares(args, starts, _check_grid, cli.BLOCK_CELLS))
+    checked, problem, grid = shares.verify(args, grids, _check_grid)
     if grid is None and problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return cli.EXIT_VERIFICATION_FAILED
     return _grid_report(args, checked, grid, problem)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 def _side_by_side(stacked: tuple, rows: int) -> Grid:

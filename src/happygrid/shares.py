@@ -1,9 +1,10 @@
 """`grid verify`'s share runner: check a run's grids in blocks, on every CPU.
 
-gridcli.cmd_grid_verify imports this module when it runs and hands it the
-grid check, gridcli._check_grid, and the block size, cli.BLOCK_CELLS.  The
-check calls each grid kernel through `cli`, so a wrapper or patch set there
-reaches a forked share too.
+gridcli.cmd_grid_verify imports this module when it runs and hands `verify`
+the number of grids and the grid check, gridcli._check_grid.  The block
+size and the split into shares are decided here.  The check calls each grid
+kernel through `cli`, so a wrapper or patch set there reaches a forked share
+too.
 """
 
 from __future__ import annotations
@@ -12,16 +13,43 @@ import itertools
 import json
 import os
 import random
+import signal
 from collections import deque
 from typing import NoReturn
 
 from .gridsort import Grid
 
+# `grid verify` checks grids in blocks of about this many cells, a few kernel
+# calls a block (see gridcli._check_grid).  Larger blocks spread each call's
+# fixed cost over more grids, which gains little past this size.  An 8x8 grid
+# costs 141 us alone, 37 us in blocks of 2048 cells and 35 us in blocks of
+# 8192 on one CPU, and 51, 20 and 18 us on two; a 3x3 grid 39, 7 and 7 us on
+# one CPU and 20, 4 and 4 us on two (wall time less start-up over 10**4 8x8
+# or 10**5 3x3 grids, medians of five subprocess runs; Python 3.11, 2-vCPU
+# Xeon).
+BLOCK_CELLS = 2048
 
-def verify_share(args, first: int, stop: int, check_grid,
-                 block_cells: int) -> tuple[int, str | None, Grid | None]:
+# `grid verify` splits its blocks into contiguous shares, one a CPU and each
+# of at least this many blocks: the first share runs in the process, each
+# other in a forked child (see verify).  A fork and wait take 1-2 ms, yet two
+# shares of a few blocks lost 3-15 ms to one share, broke even at 8-12 blocks
+# in all and saved 4-5 ms at 16 and 13-18 ms at 24 (8x8 and 3x3 grids,
+# medians of 11 alternating subprocess runs; Python 3.11, 2-vCPU Xeon).
+MIN_SHARE_BLOCKS = 8
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def verify_share(args, first: int, stop: int, per_block: int,
+                 check_grid) -> tuple[int, str | None, Grid | None]:
     """Check grids first to stop - 1 of the run `args` asks for, in its blocks
-    of about block_cells cells, each through check_grid.
+    of per_block grids, each through check_grid.
 
     Returns (checked, problem, grid): stop, None, None if every grid passes;
     the first failing grid's index, its problem and the grid; or, for a
@@ -30,7 +58,6 @@ def verify_share(args, first: int, stop: int, check_grid,
     """
     rows, cols, checked = args.rows, args.cols, first
     cells = rows * cols
-    per_block = max(1, block_cells // cells)
     # each block's cells, its grids one after another in row-major order:
     # every grid over the alphabet, or one draw of the block's random cells,
     # which takes the same random() calls as a draw per grid
@@ -46,7 +73,7 @@ def verify_share(args, first: int, stop: int, check_grid,
         values = range(args.min, args.max + 1)
         # choices takes values[floor(random() * n)], which a list of no more
         # values than a block has cells answers faster than a range, alike
-        if len(values) <= block_cells:
+        if len(values) <= BLOCK_CELLS:
             values = list(values)
         blocks = (rng.choices(values, k=min(per_block, stop - done) * cells)
                   for done in range(first, stop, per_block))
@@ -71,9 +98,10 @@ def verify_share(args, first: int, stop: int, check_grid,
     return checked, None, None
 
 
-def verify_shares(args, starts: list[int], check_grid,
-                  block_cells: int) -> tuple[int, str | None, Grid | None]:
-    """verify_share on each share of grids starts[i] to starts[i + 1] - 1 at once.
+def verify(args, grids: int, check_grid) -> tuple[int, str | None, Grid | None]:
+    """Check grids 0 to grids - 1 of the run `args` asks for through
+    check_grid, in blocks of about BLOCK_CELLS cells split into shares that
+    run at once; returns as verify_share does.
 
     The first share runs here, each other in a forked child that sends its
     result back as one JSON line over a pipe.  The first share that is not
@@ -81,19 +109,23 @@ def verify_shares(args, starts: list[int], check_grid,
     No child outlives this call: the later shares are killed and every
     child is reaped on every way out.
     """
-    import signal
-
+    per_block = max(1, BLOCK_CELLS // (args.rows * args.cols))
+    blocks = -(-grids // per_block)
+    shares = max(1, min(_cpus(), blocks // MIN_SHARE_BLOCKS)) if hasattr(os, "fork") else 1
+    # each share's first grid, and the grid count past the last share: whole
+    # blocks, cut where a single share cuts them
+    starts = [min(grids, blocks * i // shares * per_block) for i in range(shares + 1)]
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
         for first, stop in itertools.pairwise(starts[1:]):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _share_worker(args, first, stop, check_grid, block_cells, write,
+                _share_worker(args, first, stop, per_block, check_grid, write,
                               [read, *children.values()])
             os.close(write)
             children[pid] = read
-        checked, problem, grid = verify_share(args, starts[0], starts[1], check_grid, block_cells)
+        checked, problem, grid = verify_share(args, starts[0], starts[1], per_block, check_grid)
         for (pid, read), first, stop in zip(list(children.items()), starts[1:], starts[2:]):
             if problem is not None:
                 break
@@ -114,7 +146,7 @@ def verify_shares(args, starts: list[int], check_grid,
             os.waitpid(pid, 0)
 
 
-def _share_worker(args, first: int, stop: int, check_grid, block_cells: int, write: int,
+def _share_worker(args, first: int, stop: int, per_block: int, check_grid, write: int,
                   inherited: list[int]) -> NoReturn:
     """A forked child's whole life: close the pipe ends it inherited, check
     one share and send its result to `write` as one JSON line, or the
@@ -125,7 +157,7 @@ def _share_worker(args, first: int, stop: int, check_grid, block_cells: int, wri
         for fd in inherited:
             os.close(fd)
         try:
-            checked, problem, grid = verify_share(args, first, stop, check_grid, block_cells)
+            checked, problem, grid = verify_share(args, first, stop, per_block, check_grid)
             code, line = 0, json.dumps([checked, problem, grid and grid.entries])
         except Exception:
             import traceback

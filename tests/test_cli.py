@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 import happygrid
 import happygrid.certify as certify
 import happygrid.cli as cli
+import happygrid.digitcli as digitcli
 import happygrid.dynamics as dynamics
+import happygrid.gridcli as gridcli
 import happygrid.gridsort as gridsort
 from happygrid.certify import (
     default_step_budget,
@@ -31,6 +33,7 @@ from happygrid.cli import main
 from happygrid.digitmap import DigitSystem, map_units
 from happygrid.dynamics import classify, step_until_repeat
 from happygrid.gridsort import Grid, format_grid
+from happygrid.shares import BLOCK_CELLS
 
 WORKED_GRID = "1 8 3 4 8\n0 9 2 7 14\n20 3 6 7 7\n"
 WORKED_BOTH = (
@@ -147,9 +150,9 @@ def test_traj_budget_too_small(capsys):
 def test_traj_work_cap(capsys, monkeypatch):
     # squares count 4 digits of 4 units a step; the orbit of 4 repeats at step 8
     assert map_units(DigitSystem(10, 2), 4) == 16
-    monkeypatch.setattr(cli, "MAX_TRAJ_WORK", 16 * 8)
+    monkeypatch.setattr(digitcli, "MAX_TRAJ_WORK", 16 * 8)
     assert run_cli(capsys, "traj", "4", "--max-steps", "8")[0] == 0
-    monkeypatch.setattr(cli, "MAX_TRAJ_WORK", 16 * 8 - 1)
+    monkeypatch.setattr(digitcli, "MAX_TRAJ_WORK", 16 * 8 - 1)
     limit = ("the limit in base 10 exponent 2: 16 units of work a step, "
              "at most 127 in all\n")
     assert run_cli(capsys, "traj", "4") == (
@@ -165,7 +168,7 @@ def test_traj_work_cap(capsys, monkeypatch):
 
 def test_traj_work_cap_witnesses(capsys):
     # admitted: 35,031 steps from 5 for (10, 100), 202,020 allowed
-    assert cli.MAX_TRAJ_WORK // map_units(DigitSystem(10, 100), 99) == 202_020
+    assert digitcli.MAX_TRAJ_WORK // map_units(DigitSystem(10, 100), 99) == 202_020
     code, out, _ = run_cli(capsys, "traj", "5", "--exp", "100", "--json")
     assert code == 0 and len(json.loads(out)["steps"]) == 35_031
     # refused: base 65536 computes each digit power, about 0.2 s a step at
@@ -240,7 +243,7 @@ def _expected_output(command: str, as_json: bool, text: str, system: DigitSystem
     if as_json:
         record = {"base": 10, "exponent": system.exponent, "start": digits, "happy": happy}
         if command == "classify":
-            record["attractor"] = cli.cycle_record(cycle)
+            record["attractor"] = digitcli.cycle_record(cycle)
         return cli.dumps_canonical(record)
     if command == "happy":
         return "yes\n" if happy else "no\n"
@@ -560,14 +563,14 @@ def test_certify_p_max_limit(capsys):
     # the threshold scan multiplies a running base**(p - 1) once per p up to
     # --p-max: 10**4 takes 0.01 s for base 10, 10**5 0.9 s
     code, out, _ = run_cli(capsys, "certify", "--base", "2", "--exp", "1",
-                           "--p-max", str(cli.MAX_P_MAX), "--json")
-    assert code == 0 and json.loads(out)["stages"][0]["p_max"] == cli.MAX_P_MAX
-    for argv in (["--p-max", str(cli.MAX_P_MAX + 1)],
+                           "--p-max", str(digitcli.MAX_P_MAX), "--json")
+    assert code == 0 and json.loads(out)["stages"][0]["p_max"] == digitcli.MAX_P_MAX
+    for argv in (["--p-max", str(digitcli.MAX_P_MAX + 1)],
                  ["--base", "2", "--exp", "1", "--p-max", "1000000"]):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "certify", *argv)
         assert code == 2 and out == ""
-        assert err == f"error: --p-max {argv[-1]} is above the limit of {cli.MAX_P_MAX}\n"
+        assert err == f"error: --p-max {argv[-1]} is above the limit of {digitcli.MAX_P_MAX}\n"
         assert time.perf_counter() - start < 2.0
 
 
@@ -845,11 +848,11 @@ def test_grid_sort_json_streams_the_canonical_record(capsys, tmp_path, shape):
 
 def test_grid_sort_trace_refuses_too_many_snapshot_cells(capsys, monkeypatch, tmp_path):
     # the worked 3x5 grid traces 3 snapshots of 15 cells
-    monkeypatch.setattr(cli, "MAX_TRACE_CELLS", 45)
+    monkeypatch.setattr(gridcli, "MAX_TRACE_CELLS", 45)
     monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED_GRID))
     code, out, _ = run_cli(capsys, "grid", "sort", "--mode", "bubble", "--trace")
     assert code == 0 and "# pass 2 merged rows 1,2" in out
-    monkeypatch.setattr(cli, "MAX_TRACE_CELLS", 44)
+    monkeypatch.setattr(gridcli, "MAX_TRACE_CELLS", 44)
     monkeypatch.setattr(sys, "stdin", io.StringIO(WORKED_GRID))
     code, out, err = run_cli(capsys, "grid", "sort", "--mode", "bubble", "--trace")
     assert code == 2 and out == ""
@@ -857,7 +860,7 @@ def test_grid_sort_trace_refuses_too_many_snapshot_cells(capsys, monkeypatch, tm
                    "above the limit of 44\n")
     monkeypatch.undo()
     # the real cap admits the 80x80 trace CI runs and refuses 90x90 before any merge
-    assert 80 * 79 // 2 * 80 * 80 <= cli.MAX_TRACE_CELLS < 90 * 89 // 2 * 90 * 90
+    assert 80 * 79 // 2 * 80 * 80 <= gridcli.MAX_TRACE_CELLS < 90 * 89 // 2 * 90 * 90
 
     def no_merge(*args):
         raise AssertionError("merged before refusing")
@@ -871,7 +874,7 @@ def test_grid_sort_trace_refuses_too_many_snapshot_cells(capsys, monkeypatch, tm
                                  "--trace", *extra)
         assert code == 2 and out == ""
         assert err == ("error: a traced bubble sort of a 90x90 grid holds 32440500 snapshot "
-                       f"cells, above the limit of {cli.MAX_TRACE_CELLS}\n")
+                       f"cells, above the limit of {gridcli.MAX_TRACE_CELLS}\n")
     # untraced, the same grid sorts
     code, out, _ = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "cols")
     assert code == 0
@@ -881,9 +884,9 @@ def test_grid_sort_bubble_refuses_too_much_work(capsys, monkeypatch, tmp_path):
     # the cap admits the 180x180 sort the benchmark runs, the 200x200 and
     # 80x80 ones CI runs and the 5649x1 grid that grid verify allows
     for n, p in ((180, 180), (200, 200), (80, 80), (5649, 1)):
-        assert n * (n - 1) // 2 * (64 + p) <= cli.MAX_BUBBLE_WORK
+        assert n * (n - 1) // 2 * (64 + p) <= gridcli.MAX_BUBBLE_WORK
     # 5649x1 is the tallest column grid verify allows, a cell counting once per 16 rows
-    assert 5649 * 354 <= cli.MAX_GRID_CELLS < 5650 * 354
+    assert 5649 * 354 <= gridcli.MAX_GRID_CELLS < 5650 * 354
 
     def no_merge(*args):
         raise AssertionError("merged before refusing")
@@ -899,7 +902,7 @@ def test_grid_sort_bubble_refuses_too_much_work(capsys, monkeypatch, tmp_path):
         assert code == 2 and out == ""
         assert err == ("error: a bubble sort of a 10000x1 grid counts 3249675000 units of "
                        "work (49995000 merges of 64 units plus one a column), above the "
-                       f"limit of {cli.MAX_BUBBLE_WORK}\n")
+                       f"limit of {gridcli.MAX_BUBBLE_WORK}\n")
     # the other modes are not capped
     code, out, _ = run_cli(capsys, "grid", "sort", str(grid_file), "--mode", "both")
     assert code == 0
@@ -1072,7 +1075,7 @@ def test_grid_verify_exhaustive_refuses_too_many_grids(capsys, shape):
 
 def test_grid_verify_cell_limit_boundary(capsys, monkeypatch):
     # a 17-row grid counts each cell twice: two 17x1 grids count 68 cells
-    monkeypatch.setattr(cli, "MAX_GRID_CELLS", 68)
+    monkeypatch.setattr(gridcli, "MAX_GRID_CELLS", 68)
     args = ("grid", "verify", "--rows", "17", "--cols", "1")
     code, out, _ = run_cli(capsys, *args, "--trials", "2")
     assert code == 0 and "verified 2 grids of shape 17x1: ok" in out
@@ -1101,7 +1104,7 @@ def test_grid_verify_refuses_too_many_cells(capsys, argv):
 
 def test_grid_verify_cell_limit_per_grid(capsys, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "MAX_CELLS_PER_GRID", 6)
+        patch.setattr(gridcli, "MAX_CELLS_PER_GRID", 6)
         code, out, _ = run_cli(capsys, "grid", "verify", "--rows", "2", "--cols", "3")
         assert code == 0 and "verified 1000 grids of shape 2x3: ok" in out
         code, out, err = run_cli(capsys, "grid", "verify", "--rows", "1", "--cols", "7",
@@ -1141,7 +1144,7 @@ def first_bad_grid(argv):
     args = cli.build_parser().parse_args(argv)
     for index, flat in enumerate(verify_flats(args)):
         grid = Grid(tuple(zip(*[iter(flat)] * args.cols)))
-        problem = cli._check_grid(grid)
+        problem = gridcli._check_grid(grid)
         if problem is not None:
             return index, grid, problem
     return None
@@ -1192,8 +1195,8 @@ RANDOM_1X5 = [*RANDOM_3X3, "--rows", "1", "--cols", "5"]
 RANDOM_5X1 = [*RANDOM_3X3, "--rows", "5", "--cols", "1"]
 # A share draws from a list of the values when the range holds no more values
 # than a block has cells, and from the range itself above that.
-LIST_RANGE = [*RANDOM_3X3, "--min", "0", "--max", str(cli.BLOCK_CELLS - 1)]
-WIDE_RANGE = [*RANDOM_3X3, "--min", "0", "--max", str(cli.BLOCK_CELLS)]
+LIST_RANGE = [*RANDOM_3X3, "--min", "0", "--max", str(BLOCK_CELLS - 1)]
+WIDE_RANGE = [*RANDOM_3X3, "--min", "0", "--max", str(BLOCK_CELLS)]
 
 
 # A kernel broken on grids that hold a chosen grid breaks every block holding
@@ -1251,11 +1254,11 @@ def test_grid_verify_never_passes_a_kernel_broken_on_wide_rows(capsys, monkeypat
     assert first_bad_grid(argv) is None
     code, out, err = run_cli(capsys, *argv, *["--json"] * json_out)
     assert code == 1 and out == ""
-    assert err == (f"error: grids 0 to {cli.BLOCK_CELLS // 9 - 1} fail as one block but pass "
+    assert err == (f"error: grids 0 to {BLOCK_CELLS // 9 - 1} fail as one block but pass "
                    "one by one: the kernels let separate grids interact\n")
 
 
-@pytest.mark.parametrize("index", [0, 2 * (cli.BLOCK_CELLS // 9)], ids=["block-0", "block-2"])
+@pytest.mark.parametrize("index", [0, 2 * (BLOCK_CELLS // 9)], ids=["block-0", "block-2"])
 def test_grid_verify_checks_the_real_width_in_every_block(capsys, monkeypatch, index):
     # broken only at the requested width, on the first grid of a block
     chosen = holds_grid(RANDOM_3X3, index, "sort_cols")
@@ -1279,8 +1282,8 @@ def run_in_shares(capsys, monkeypatch, shares, *argv):
         return fork()
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_cpus", lambda: shares)
-        patch.setattr(cli, "MIN_SHARE_BLOCKS", 1)
+        patch.setattr("happygrid.shares._cpus", lambda: shares)
+        patch.setattr("happygrid.shares.MIN_SHARE_BLOCKS", 1)
         patch.setattr(os, "fork", counted)
         return (*run_cli(capsys, *argv), len(forks))
 
@@ -1297,10 +1300,10 @@ def assert_same_in_shares(capsys, monkeypatch, *argv):
 
 def share_of(argv, index, shares=3):
     """The share that checks the index-th grid when `argv`'s blocks are split
-    into `shares`, as cmd_grid_verify splits them."""
+    into `shares`, as shares.verify splits them."""
     args = cli.build_parser().parse_args(argv)
     grids = args.alphabet ** (args.rows * args.cols) if args.exhaustive else args.trials
-    per_block = max(1, cli.BLOCK_CELLS // (args.rows * args.cols))
+    per_block = max(1, BLOCK_CELLS // (args.rows * args.cols))
     blocks = -(-grids // per_block)
     return max(i for i in range(shares) if blocks * i // shares * per_block <= index)
 
@@ -1424,7 +1427,7 @@ def test_grid_verify_raises_what_a_worker_raised(capsys, monkeypatch):
     assert_no_children()
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 0), (-1000, 1000), (0, cli.MAX_DRAWN_VALUES - 1)])
+@pytest.mark.parametrize("lo, hi", [(0, 0), (-1000, 1000), (0, gridcli.MAX_DRAWN_VALUES - 1)])
 def test_choices_makes_one_random_call_per_item(lo, hi):
     # a grid verify share starts by skipping one random() call per cell drawn
     # before it, which draws its grids as one run does only if this holds
@@ -1536,6 +1539,22 @@ def test_module_process_prints_what_main_prints(capsys, argv, code, golden):
     assert (result.returncode, result.stdout, result.stderr) == expected
 
 
+def test_help_texts_match_the_golden():
+    # each `--help` at 80 columns, under a fixed home so that the default
+    # cache directory, and so the wrapping around it, reads the same anywhere
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80", "HOME": "/home/user"}
+    texts = []
+    for argv in ([], ["traj"], ["classify"], ["happy"], ["attractors"], ["certify"], ["grid"],
+                 ["grid", "sort"], ["grid", "verify"]):
+        argv = [*argv, "--help"]
+        result = subprocess.run([sys.executable, "-m", "happygrid", *argv], capture_output=True,
+                                text=True, env=env)
+        assert (result.returncode, result.stderr) == (0, ""), argv
+        texts.append(f"$ happygrid {' '.join(argv)}\n{result.stdout}")
+    assert "".join(texts) == (GOLDEN / "help.txt").read_text(encoding="utf-8")
+
+
 def test_the_process_entry_point_freezes_what_is_left_at_exit():
     # an atexit hook runs after run() has returned or raised SystemExit, and
     # before the interpreter's final collections
@@ -1643,23 +1662,42 @@ def _perfbench_targets() -> list[str]:
     return [t.removeprefix("happygrid.cli.") for t in targets]
 
 
-@pytest.mark.parametrize("module", ["digitcli", "gridcli"])
+@pytest.mark.parametrize("module", ["digitcli", "gridcli", "shares"])
 def test_command_modules_call_bound_names_through_cli(module):
-    # perfbench wraps, and tests patch, names where cli binds them: a name the
-    # command module imported for itself would slip past both
+    # a command module calls every library function that cli binds through
+    # cli, and imports none of them: perfbench wraps, and tests patch, those
+    # names on cli, and a name the module imported for itself would slip
+    # past both; the same holds for the constants cli defines
     src = Path(cli.__file__).with_name(f"{module}.py")
     tree = ast.parse(src.read_text(encoding="utf-8"))
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not any(isinstance(node, ast.ImportFrom) and node.module == "cli"
                    for node in ast.walk(tree))
-    # beside perfbench's names, the caps and the two other names tests patch
-    bound = {*_perfbench_targets(), *(name for name in vars(cli) if name.isupper()),
-             "_cpus", "digit_reduction_threshold"}
+    bound = {*_perfbench_targets(), *(name for names in cli._HOMES.values() for name in names),
+             *(name for name in vars(cli) if name.isupper())}
     assert not imported & bound, sorted(imported & bound)
-    # cli binds every function the module defines
-    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert defined and defined <= set(cli._HOMES[module])
+
+
+def test_no_perfbench_layer_goes_silent(monkeypatch, capsys, tmp_path):
+    # each name perfbench wraps on cli, counted where cli binds it, is called
+    # by the commands perfbench runs; a command module that imported one for
+    # itself would leave its layer reading zero
+    counts = dict.fromkeys(_perfbench_targets(), 0)
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    (tmp_path / "grid.txt").write_text(WORKED_GRID, encoding="utf-8")
+    grid = str(tmp_path / "grid.txt")
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for argv in (["certify", "--json"], ["classify", "7", *cache], ["classify", "7", *cache],
+                 ["traj", "7"], ["grid", "sort", grid, "--mode", "both"],
+                 ["grid", "sort", grid, "--mode", "bubble", "--trace", "--json"],
+                 ["grid", "verify"]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert all(counts.values()), sorted(name for name, count in counts.items() if not count)
 
 
 def test_lazy_names_resolve_to_their_modules():
