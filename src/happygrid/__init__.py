@@ -3,10 +3,10 @@ sorted-rows-stay-sorted grid theorem.
 
 Two independent constructions share this package:
 
-* `digitmap`, `dynamics`, `certify`: the map sending n to the sum of the
-  e-th powers of its base-b digits, its orbits and cycles, and a
-  machine-checked proof that exhaustive enumeration of [0, B], a range
-  the system alone fixes, finds every attractor.
+* `digitmap`, `dynamics`, `bounds`, `certify`: the map sending n to the
+  sum of the e-th powers of its base-b digits, its orbits and cycles, and
+  a machine-checked proof that exhaustive enumeration of [0, B], a range
+  the system alone fixes (`bounds`), finds every attractor (`certify`).
 * `gridsort`: sorting the rows of an integer grid and then its columns
   leaves the rows sorted; includes the two-row min/max lemma and the
   bubble-pass column sort mirroring the inductive argument.
@@ -20,10 +20,10 @@ import importlib
 # loads none of them: a name's submodule is imported the first time the
 # name is read (PEP 562), so a command of one half never compiles the other.
 _HOMES = {
-    "certify": ("AttractorAtlas", "CertificationError", "brute_bound", "default_step_budget",
-                "digit_reduction_threshold", "enumerate_attractors", "forward_invariance_scan",
-                "three_digit_identity_check", "threshold_inequality_check", "validate_atlas",
-                "verify_range"),
+    "bounds": ("AttractorAtlas", "CertificationError", "brute_bound", "default_step_budget",
+               "digit_reduction_threshold", "threshold_inequality_check"),
+    "certify": ("enumerate_attractors", "forward_invariance_scan", "three_digit_identity_check",
+                "validate_atlas", "verify_range"),
     "digitmap": ("DigitSystem", "as_natural", "digit_count", "digit_power_sum"),
     "dynamics": ("BudgetExceededError", "Cycle", "Trajectory", "canonicalize_cycle", "classify",
                  "step_until_repeat"),

@@ -7,12 +7,14 @@ invocation (sorted keys, fixed layout) so outputs are byte-stable.
 
 This module is the core every command loads: the exit codes, `UsageError`,
 the start-digit cap `main` reads, the output writer and `main`.  The
-commands live in `digitcli` (traj, classify, happy, attractors, certify)
-and `gridcli` (grid sort, grid verify), each with the caps its checks
-read; the argument grammar in `cliparse`, grid verify's block size and
-share runner in `shares` and the canonical JSON text in `canonical`.
+commands live in `digitcli` (traj, classify, happy, attractors), `certcli`
+(certify) and `gridcli` (grid sort, grid verify), each with the caps its
+checks read; the argument grammar in `cliparse`, grid verify's block size
+and share runner in `shares` and the canonical JSON text in `canonical`.
 Without a bytecode cache every command compiles what it imports, so each
-command loads only its own half of happygrid.
+command loads only its own half of happygrid, and of the digit half only
+what it runs: `traj` reads p0 and its step budget from `bounds` and never
+loads `certify`, whose functions map values.
 
 The library functions of `_HOMES` are bound here on first read (PEP 562):
 each one perfbench wraps at `happygrid.cli` or a test patches here.  A
@@ -36,9 +38,9 @@ from .cliparse import build_parser, natural_arg
 from .limits import TooLargeError
 
 _HOMES = {
-    "certify": ("default_step_budget", "digit_reduction_threshold", "enumerate_attractors",
-                "forward_invariance_scan", "three_digit_identity_check",
-                "threshold_inequality_check", "validate_atlas", "verify_range"),
+    "bounds": ("default_step_budget", "digit_reduction_threshold", "threshold_inequality_check"),
+    "certify": ("enumerate_attractors", "forward_invariance_scan", "three_digit_identity_check",
+                "validate_atlas", "verify_range"),
     "dynamics": ("classify", "step_until_repeat"),
     "gridsort": ("bubble_column_sort", "parse_grid", "sort_cols", "sort_rows", "trace_bubble"),
     "digitcli": ("load_cached_atlas", "save_atlas"),

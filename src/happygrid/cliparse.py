@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-value step budget for range verification")
     certify.add_argument("--drop-attractor", type=natural_arg, default=None,
                          help=argparse.SUPPRESS)  # test hook: truncate the atlas
-    certify.set_defaults(handler="digitcli.cmd_certify")
+    certify.set_defaults(handler="certcli.cmd_certify")
 
     grid = commands.add_parser("grid", help="integer grid sorting")
     grid_commands = grid.add_subparsers(dest="grid_command", required=True)

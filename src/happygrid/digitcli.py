@@ -1,10 +1,16 @@
-"""The digit commands: traj, classify and happy, attractors and certify,
-with their caps, the atlas record and the atlas cache.
+"""The digit commands traj, classify and happy, and attractors, with their
+caps, the atlas record and the atlas cache.
 
-`cli.main` runs this module's commands.  They call every library function
-that `cli` binds through `cli`, where perfbench wraps and tests patch them,
-and read `cli.MAX_START_DIGITS`, which `main` also reads, so a wrapper or a
+`cli.main` runs this module's commands, and `certcli` runs certify with
+`_digit_system` from here.  The commands call every library function that
+`cli` binds through `cli`, where perfbench wraps and tests patch them, and
+read `cli.MAX_START_DIGITS`, which `main` also reads, so a wrapper or a
 patch on `cli` reaches the call made here.
+
+This module imports from `bounds` and never from `certify`.  `traj` needs
+p0 and a step budget but no atlas, so it compiles neither `certify` nor
+`certcli`; the atlas commands load `certify` when they first read
+`cli.validate_atlas` or `cli.enumerate_attractors`.
 """
 
 from __future__ import annotations
@@ -17,13 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, cli
-from .certify import (
-    AttractorAtlas,
-    CertificationError,
-    brute_bound,
-    check_bound_size,
-    check_range_size,
-)
+from .bounds import AttractorAtlas, CertificationError, brute_bound
 from .digitmap import DigitSystem, map_units
 from .dynamics import BudgetExceededError, Cycle
 from .limits import TooLargeError, brief
@@ -52,12 +52,6 @@ MAX_WEIGHT_BITS = 2**15
 # writes its steps, takes about ten seconds (Python 3.11, 2-vCPU Xeon, as
 # subprocesses).
 MAX_TRAJ_WORK = 8 * 10**7
-
-# `certify --p-max` scans the threshold inequality at most this far.  The
-# scan multiplies a running base**(p - 1) by the base once per p, so it grows
-# about as p**2 * log(base): 10**4 takes 0.01 s for base 10 and 0.05 s for
-# base 10**6, and 10**5 takes 0.9 s for base 10 (Python 3.11, 2-vCPU Xeon).
-MAX_P_MAX = 10**4
 
 
 def cycle_record(cycle: Cycle) -> dict:
@@ -285,88 +279,4 @@ def cmd_attractors(args) -> int:
     print("fixed points:", " ".join(str(x) for x in sorted(atlas.fixed_points)))
     for cycle in sorted(atlas.cycles, key=lambda c: c.members[0]):
         print(f"cycle of length {cycle.length}:", " ".join(str(m) for m in cycle.members))
-    return cli.EXIT_OK
-
-
-def _drop_attractor(atlas: AttractorAtlas, identifier: int) -> AttractorAtlas:
-    # Test hook: deliberately truncate the atlas so verification must fail.
-    return atlas._replace(
-        fixed_points=frozenset(x for x in atlas.fixed_points if x != identifier),
-        cycles=frozenset(c for c in atlas.cycles if c.identifier != identifier),
-    )
-
-
-def _stage(name: str, report, **shown) -> dict:
-    """A stage record: the report's fields in order, less `reason`, `shown` overriding some."""
-    stage = {"name": name, **report._asdict(), **shown}
-    stage.pop("reason", None)
-    return stage
-
-
-def _range_stage(name: str, atlas: AttractorAtlas, lo: int, hi: int,
-                 max_steps: int | None) -> dict:
-    report = cli.verify_range(atlas.system, atlas, lo, hi, max_steps=max_steps)
-    # values of any size cross the boundary as decimal strings
-    return _stage(name, report, lo=str(lo), hi=str(hi),
-                  failing=None if report.failing is None else str(report.failing))
-
-
-def cmd_certify(args) -> int:
-    if args.p_max > MAX_P_MAX:
-        raise TooLargeError(f"--p-max {brief(args.p_max)} is above the limit of {MAX_P_MAX}")
-    system = _digit_system(args)
-    p_max = max(args.p_max, cli.digit_reduction_threshold(system))
-    lo = args.lo if args.lo is not None else 0
-    hi = args.hi if args.hi is not None else brute_bound(system)
-    if lo > hi:
-        raise cli.UsageError(f"empty verification range [{brief(lo)}, {brief(hi)}]")
-    # the bound first: with the default --hi, the range is [0, B] itself
-    check_bound_size(system)
-    check_range_size(system, lo, hi)
-
-    stages = [_stage("threshold-inequality", cli.threshold_inequality_check(system, p_max))]
-    invariance = cli.forward_invariance_scan(system)
-    stages.append(_stage("forward-invariance", invariance, bound=str(invariance.bound),
-                         max_image=str(invariance.max_image)))
-
-    atlas = cli.enumerate_attractors(system)
-    stages.append({
-        "name": "attractor-enumeration",
-        "ok": True,
-        "fixed_points": len(atlas.fixed_points),
-        "cycles": len(atlas.cycles),
-        "max_transient": atlas.max_transient,
-        "failing": None,
-    })
-    if args.drop_attractor is not None:
-        atlas = _drop_attractor(atlas, args.drop_attractor)
-
-    stages.append(_range_stage("range-verification", atlas, lo, hi, args.max_steps))
-
-    if system == DigitSystem(10, 2):
-        stages.append(_stage("three-digit-identity", cli.three_digit_identity_check()))
-        stages.append(_range_stage("two-digit-brute-force", atlas, 0, 99, args.max_steps))
-
-    ok = all(stage["ok"] for stage in stages)
-    if args.json:
-        cli._write_canonical({
-            "base": system.base,
-            "exponent": system.exponent,
-            "ok": ok,
-            "stages": stages,
-        })
-    else:
-        print(f"base {system.base} exponent {system.exponent}")
-        for stage in stages:
-            details = "  ".join(
-                f"{key}={value}" for key, value in stage.items()
-                if key not in ("name", "ok", "failing") and value is not None
-            )
-            verdict = "ok" if stage["ok"] else f"FAIL at {stage['failing']}"
-            print(f"{stage['name']}: {verdict}  {details}")
-        print("certified" if ok else "CERTIFICATION FAILED")
-    if not ok:
-        first = next(stage for stage in stages if not stage["ok"])
-        print(f"error: stage {first['name']} failed at {first['failing']}", file=sys.stderr)
-        return cli.EXIT_VERIFICATION_FAILED
     return cli.EXIT_OK

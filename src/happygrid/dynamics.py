@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .digitmap import DigitSystem, as_natural, digit_count, digit_power_sum
 
 if TYPE_CHECKING:
-    from .certify import AttractorAtlas
+    from .bounds import AttractorAtlas
 
 
 class BudgetExceededError(RuntimeError):

@@ -73,8 +73,8 @@ MAX_TRACE_CELLS = 25 * 10**6
 # +-2**40, takes 10.2-11.6 s by ranks, 15.0-16.2 s in 64-bit fields,
 # parsing and printing included (Python 3.11, 2-vCPU Xeon, as subprocesses).
 # Its peak RSS is 286 MB, set by gridsort._rank_pack's rank table over the parsed
-# grid, or 234 MB in 64-bit fields, set by parse_grid; a 1000x1000 sort over
-# [-1000, 1000] peaks at 32 MB with --json, its output sharing equal entries.
+# grid, or 141 MB in 64-bit fields; a 1000x1000 sort over [-1000, 1000] peaks
+# at 32 MB with --json, its input and output sharing equal entries.
 MAX_BUBBLE_WORK = 11 * 10**8
 
 

@@ -80,20 +80,32 @@ class MergeStep(NamedTuple):
 _TOKEN = re.compile(r"\S+")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
+# parse_grid shares equal entries through a dict of the distinct values,
+# which costs its table beyond this smallest one: sharing pays while the
+# distinct values are few against the entries, and stops once they are not.
+# Parsing a 1438x1000 grid over +-2**40 (every entry distinct) raised the
+# peak RSS by 182 MB with a dict kept to the end, 55 MB with none and 63 MB
+# with one dropped by this rule after 350 of its rows, and took 0.36 s
+# against 0.72 s; a 180x180 or 1000x1000 grid over [-1000, 1000] keeps one
+# int for each of its 2001 values (in process, Python 3.11, 2-vCPU Xeon).
+_SMALLEST_TABLE = sys.getsizeof({0: 0})
+
 
 def parse_grid(text: str) -> Grid:
     """Parse the grid text format: one row per line, whitespace-separated
     decimal integers, blank lines ignored, all rows equally long.
 
-    A line is split and converted at once, equal entries sharing one int.
-    int() also takes underscores and non-ASCII digits, so a line holding
-    either, a line int() refuses, and a row of the wrong length go through
-    _parse_tokens, which names the offending line and column.
+    A line is split and converted at once, equal entries sharing one int
+    while sharing can still pay (see _SMALLEST_TABLE).  int() also takes
+    underscores and non-ASCII digits, so a line holding either, a line
+    int() refuses, and a row of the wrong length go through _parse_tokens,
+    which names the offending line and column.
     """
     rows: list[tuple[int, ...]] = []
     width: int | None = None
-    shared: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    shared: dict[int, int] | None = {}
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         row = None
         if line.isascii() and "_" not in line:
             try:
@@ -101,13 +113,21 @@ def parse_grid(text: str) -> Grid:
             except ValueError:  # not an integer, or past the int-string limit
                 pass
             else:
-                row = tuple(map(shared.setdefault, values, values))
+                row = tuple(values if shared is None else map(shared.setdefault, values, values))
         if row is None or (row and width is not None and len(row) != width):
             row = _parse_tokens(line, lineno, width)
         if not row:
             continue
         if width is None:
             width = len(row)
+            entries = len(lines) * width  # at most
+            entry_size = sys.getsizeof(max(map(abs, row)))
+        # a shared int saves one int for each later equal entry, and at most
+        # entries - len(shared) are such; drop the dict once its table at
+        # its next doubling outweighs them all
+        if shared is not None and (2 * (sys.getsizeof(shared) - _SMALLEST_TABLE)
+                                   > (entries - len(shared)) * entry_size):
+            shared = None
         rows.append(row)
     if not rows:
         raise GridParseError("empty grid", 1, 1)
@@ -177,10 +197,9 @@ def is_cols_sorted(g: Grid) -> bool:
 # ranks broke even at 128-256 rows (in process, least of 3).  Through
 # `grid sort --mode bubble --json`, 1000x1000 took 7.7 s against 7.9 s, and
 # the largest 1000-column grid the bubble cap allows, 1438x1000, 15.0-16.2 s
-# against 10.2-11.6 s.  Its peak RSS, 234 MB in 64-bit fields, is set by
-# parse_grid, whose text, lines and dict of 1.4*10**6 distinct entries come
-# to 181 MB; ranks take it to 286 MB with the rank table built on top of the
-# parsed grid (Python 3.11, 2-vCPU Xeon).
+# against 10.2-11.6 s.  Its peak RSS is 141 MB in 64-bit fields and 286 MB
+# by ranks, whose table is built on top of the parsed grid (Python 3.11,
+# 2-vCPU Xeon).
 RANK_ROWS = 512
 
 # bubble_column_sort gives equal entries of its output one int object when

@@ -23,12 +23,9 @@ from happygrid import (
     validate_atlas,
     verify_range,
 )
-from happygrid import certify, cli, dynamics
-from happygrid.certify import (
-    MAX_VALUES,
-    _digit_power_sums,
-    _image_counts,
-)
+from happygrid import bounds, certify, cli, dynamics
+from happygrid.bounds import MAX_VALUES
+from happygrid.certify import _digit_power_sums, _image_counts
 from happygrid.dynamics import _walk_to_atlas
 
 from conftest import EIGHT_CYCLE
@@ -358,8 +355,8 @@ def test_escaping_image_fails_certification(cubes, cubes_atlas, monkeypatch, req
     # least escape is 79 -> 343 + 729 = 1072, and the invariance scan, the
     # checker and the enumeration must each say so rather than crash; the
     # image counts are kept per system, so none may outlive the patch
-    threshold = certify.digit_reduction_threshold
-    monkeypatch.setattr(certify, "digit_reduction_threshold",
+    threshold = bounds.digit_reduction_threshold
+    monkeypatch.setattr(bounds, "digit_reduction_threshold",
                         lambda sys: 4 if sys == cubes else threshold(sys))
     certify._image_counts.cache_clear()
     request.addfinalizer(certify._image_counts.cache_clear)
@@ -389,14 +386,14 @@ def test_range_work_limit_boundary(squares, squares_atlas):
     # values fit in 1.5 * 10**8 units where 488 do not; nothing is visited
     lo = 10**59999
     assert 60000 + (lo.bit_length() // 400) ** 2 == 308004
-    certify.check_range_size(squares, lo, lo + 486)
+    bounds.check_range_size(squares, lo, lo + 486)
     message = ("the verification range holds 488 values above B of up to 60000 digits, "
                "150305952 units of work, above the limit of 150000000")
     with pytest.raises(TooLargeError) as refused:
         verify_range(squares, squares_atlas, lo, lo + 487)
     assert str(refused.value) == message
     # values in [0, B] count once each, against MAX_VALUES alone
-    certify.check_range_size(squares, 0, MAX_VALUES - 1)
+    bounds.check_range_size(squares, 0, MAX_VALUES - 1)
 
 
 def test_squares_atlas_contents(squares, squares_atlas):

@@ -18,17 +18,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import happygrid
-import happygrid.certify as certify
+import happygrid.bounds as bounds
+import happygrid.certcli as certcli
 import happygrid.cli as cli
 import happygrid.digitcli as digitcli
 import happygrid.dynamics as dynamics
 import happygrid.gridcli as gridcli
 import happygrid.gridsort as gridsort
-from happygrid.certify import (
-    default_step_budget,
-    digit_reduction_threshold,
-    enumerate_attractors,
-)
+from happygrid.bounds import default_step_budget, digit_reduction_threshold
+from happygrid.certify import enumerate_attractors
 from happygrid.cli import main
 from happygrid.digitmap import DigitSystem, map_units
 from happygrid.dynamics import classify, step_until_repeat
@@ -563,14 +561,14 @@ def test_certify_p_max_limit(capsys):
     # the threshold scan multiplies a running base**(p - 1) once per p up to
     # --p-max: 10**4 takes 0.01 s for base 10, 10**5 0.9 s
     code, out, _ = run_cli(capsys, "certify", "--base", "2", "--exp", "1",
-                           "--p-max", str(digitcli.MAX_P_MAX), "--json")
-    assert code == 0 and json.loads(out)["stages"][0]["p_max"] == digitcli.MAX_P_MAX
-    for argv in (["--p-max", str(digitcli.MAX_P_MAX + 1)],
+                           "--p-max", str(certcli.MAX_P_MAX), "--json")
+    assert code == 0 and json.loads(out)["stages"][0]["p_max"] == certcli.MAX_P_MAX
+    for argv in (["--p-max", str(certcli.MAX_P_MAX + 1)],
                  ["--base", "2", "--exp", "1", "--p-max", "1000000"]):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "certify", *argv)
         assert code == 2 and out == ""
-        assert err == f"error: --p-max {argv[-1]} is above the limit of {digitcli.MAX_P_MAX}\n"
+        assert err == f"error: --p-max {argv[-1]} is above the limit of {certcli.MAX_P_MAX}\n"
         assert time.perf_counter() - start < 2.0
 
 
@@ -618,7 +616,7 @@ def test_refusals_show_long_numbers_by_digit_count(capsys, tmp_path, argv, err):
 def test_certify_range_work_limit_boundary(capsys, monkeypatch):
     # squares: B = 999, and [990, 1049] holds 50 values above B of four
     # digits, 4 units each; one more value is refused before any stage
-    monkeypatch.setattr(certify, "MAX_RANGE_WORK", 4 * 50)
+    monkeypatch.setattr(bounds, "MAX_RANGE_WORK", 4 * 50)
     code, out, _ = run_cli(capsys, "certify", "--lo", "990", "--hi", "1049", "--json")
     assert code == 0 and json.loads(out)["stages"][3]["checked"] == 60
 
@@ -654,7 +652,7 @@ def test_digit_weight_limit(capsys, tmp_path, monkeypatch, command):
     def never(*args):
         raise AssertionError("the threshold was scanned")
 
-    monkeypatch.setattr(certify, "digit_reduction_threshold", never)
+    monkeypatch.setattr(bounds, "digit_reduction_threshold", never)
     monkeypatch.setattr(cli, "digit_reduction_threshold", never)
     argv = [command] + ["1"] * (command in ("traj", "classify", "happy")) + ["--exp", "8193"]
     if command in ("classify", "happy", "attractors"):
@@ -1607,8 +1605,8 @@ def test_only_grid_verify_loads_the_share_runner(tmp_path):
     assert result.stdout == "[False, False, False, True]\n"
 
 
-DIGIT_HALF = {"happygrid.certify", "happygrid.dynamics", "happygrid.digitmap",
-              "happygrid.digitcli"}
+DIGIT_HALF = {"happygrid.bounds", "happygrid.certify", "happygrid.certcli",
+              "happygrid.dynamics", "happygrid.digitmap", "happygrid.digitcli"}
 GRID_HALF = {"happygrid.gridsort", "happygrid.shares", "happygrid.gridcli"}
 
 
@@ -1617,10 +1615,11 @@ GRID_HALF = {"happygrid.gridsort", "happygrid.shares", "happygrid.gridcli"}
     (["--version"], DIGIT_HALF | GRID_HALF),
     (["grid", "sort", "GRID"], DIGIT_HALF),
     (["grid", "verify", "--trials", "10"], DIGIT_HALF),
-    (["classify", "7", "--cache-dir", "CACHE"], GRID_HALF),
-    (["happy", "7", "--cache-dir", "CACHE"], GRID_HALF),
-    (["traj", "7"], GRID_HALF),
-    (["attractors", "--cache-dir", "CACHE"], GRID_HALF),
+    # only certify loads certcli, and traj, which needs no atlas, no certify
+    (["classify", "7", "--cache-dir", "CACHE"], GRID_HALF | {"happygrid.certcli"}),
+    (["happy", "7", "--cache-dir", "CACHE"], GRID_HALF | {"happygrid.certcli"}),
+    (["traj", "7"], GRID_HALF | {"happygrid.certify", "happygrid.certcli"}),
+    (["attractors", "--cache-dir", "CACHE"], GRID_HALF | {"happygrid.certcli"}),
     (["certify", "--exp", "3"], GRID_HALF),
 ], ids=["import", "version", "grid-sort", "grid-verify", "classify", "happy", "traj",
         "attractors", "certify"])
@@ -1662,7 +1661,7 @@ def _perfbench_targets() -> list[str]:
     return [t.removeprefix("happygrid.cli.") for t in targets]
 
 
-@pytest.mark.parametrize("module", ["digitcli", "gridcli", "shares"])
+@pytest.mark.parametrize("module", ["digitcli", "certcli", "gridcli", "shares"])
 def test_command_modules_call_bound_names_through_cli(module):
     # a command module calls every library function that cli binds through
     # cli, and imports none of them: perfbench wraps, and tests patch, those
@@ -1712,7 +1711,7 @@ def test_lazy_names_resolve_to_their_modules():
     namespace: dict = {}
     exec("from happygrid import *", namespace)
     assert set(happygrid.__all__) <= namespace.keys()
-    assert happygrid.TooLargeError is certify.TooLargeError
+    assert happygrid.TooLargeError is bounds.TooLargeError
     # the import machinery probes for these and needs AttributeError
     for module in (happygrid, cli):
         for name in ("no_such_name", "__path__", "shares"):

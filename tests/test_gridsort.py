@@ -2,7 +2,7 @@ import random
 import sys
 from collections import Counter
 from itertools import islice, pairwise
-from operator import add
+from operator import add, is_
 
 import pytest
 from hypothesis import assume, given
@@ -520,3 +520,26 @@ def test_parse_shares_equal_entries():
     big = g.entries[0][0]
     assert g.entries == ((10**30, -10**30, 7), (-10**30, 10**30, 7))
     assert g.entries[1][1] is big and g.entries[0][1] is g.entries[1][0]
+
+
+def test_parse_shares_the_entries_of_a_small_span():
+    # the benchmark's grid shape: 180x180 over [-1000, 1000], one int a value
+    rng = random.Random(5)
+    rows = [[rng.randint(-1000, 1000) for _ in range(180)] for _ in range(180)]
+    g = parse_grid(format_grid(Grid.from_rows(rows)))
+    assert g.entries == tuple(map(tuple, rows))
+    assert len({id(x) for row in g.entries for x in row}) == len({x for row in rows for x in row})
+
+
+def test_parse_stops_sharing_distinct_entries():
+    # 200 rows of distinct values over +-2**40, then the first row again: the
+    # dict is dropped long before the last row, which keeps ints of its own
+    rng = random.Random(6)
+    rows = [[rng.randint(-2**40, 2**40) for _ in range(200)] for _ in range(200)]
+    g = parse_grid(format_grid(Grid.from_rows(rows + rows[:1])))
+    assert g.entries == tuple(map(tuple, rows + rows[:1]))
+    assert not any(map(is_, g.entries[0], g.entries[-1]))
+    # while the first rows still share: the second row's repeat of the first
+    # row's entry is that one int
+    g = parse_grid(format_grid(Grid.from_rows([rows[0], rows[0]] + rows[1:])))
+    assert all(map(is_, g.entries[0], g.entries[1]))

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from happygrid import CertificationError, DigitSystem, TooLargeError, certify
+from happygrid import CertificationError, DigitSystem, TooLargeError, bounds
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-SRC = os.path.dirname(os.path.dirname(certify.__file__))
+SRC = os.path.dirname(os.path.dirname(bounds.__file__))
 
 
 def survey_rows(*argv):
@@ -32,7 +32,7 @@ def test_atlas_survey_certifies_up_to_the_library_limit():
     assert rows[(3, 18)].endswith(" ms]") and "[certified, " in rows[(3, 18)]
     assert "fp=[0, 1, 786438, " in rows[(3, 18)]
     with pytest.raises(TooLargeError) as refusal:
-        certify.check_bound_size(DigitSystem(3, 19))
+        bounds.check_bound_size(DigitSystem(3, 19))
     assert rows[(3, 19)].endswith(f"refused: {refusal.value}")
     assert not any("certified" in rows[(3, e)] for e in (19, 20))
 
