@@ -6,7 +6,8 @@ scan of (base-1)^exponent * p < base^(p-1), and the brute bound
 B = base^(p0-1) - 1 that every stage takes its range from.  This module
 computes both, the threshold inequality report and the default step budget
 from them, and holds the size caps every stage checks before it allocates
-anything, the atlas record and the four stage reports.
+anything, with the digit-weight cap every digit command checks first, the
+atlas record and the four stage reports.
 
 None of it calls the digit map: every function that maps a value lives in
 `certify`, where the map's calls are counted.  `traj` needs p0 and the step
@@ -42,6 +43,16 @@ MAX_VALUES = 10**7
 # of random digits timed and scaled; Python 3.11, 2-vCPU Xeon).
 MAX_RANGE_WORK = 15 * 10**7
 
+# The digit weight (base - 1)**exponent, counted as exponent times the bit
+# length of base - 1, holds at most this many bits.  Every digit of a value
+# adds a power of that size, and the threshold scan grows quadratically with
+# it.  At 2**15 bits the scan takes 0.01-0.03 s.  The second and third map
+# steps from 5 take 1-9 ms in bases 3 to 1024, which read their digit powers
+# from a table built once in 0.1 s or less, and 0.03-0.3 s in bases 2**16 and
+# 10**6 + 1, which compute each power.  Base 10 with exponent 20,000 takes
+# 0.02 s a step and exponent 100,000 0.6 s (Python 3.11, 2-vCPU Xeon).
+MAX_WEIGHT_BITS = 2**15
+
 
 class CertificationError(RuntimeError):
     """An internal consistency check failed; certification is void."""
@@ -76,6 +87,14 @@ def check_bound_size(sys: DigitSystem) -> None:
     # B = base**(p0 - 1) - 1 is named by that formula, short at any size
     k = digit_count(bound, sys)
     check_size(bound + 1, f"a table of {sys} over [0, {sys.base}**{k} - 1]")
+
+
+def check_weight_size(sys: DigitSystem) -> None:
+    """Refuse, before any work, a digit weight of more than MAX_WEIGHT_BITS bits."""
+    bits = sys.exponent * (sys.base - 1).bit_length()
+    if bits > MAX_WEIGHT_BITS:
+        raise TooLargeError(f"the digit weight (base - 1)**exponent holds up to {bits} bits, "
+                            f"above the limit of {MAX_WEIGHT_BITS}")
 
 
 class _AtlasFields(NamedTuple):

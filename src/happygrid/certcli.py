@@ -2,10 +2,10 @@
 
 `cli.main` runs `cmd_certify`.  Only this command runs every stage and
 builds the stage records, so they are compiled apart from `digitcli`,
-which the other digit commands load; it takes the digit system and its
-weight cap from there.  As in `digitcli`, every library function that
-`cli` binds is called through `cli`, where perfbench wraps and tests
-patch it.
+which the other digit commands load and this one never imports; the
+weight cap and every size check it reads live in `bounds`.  As in
+`digitcli`, every library function that `cli` binds is called through
+`cli`, where perfbench wraps and tests patch it.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 import sys
 
 from . import cli
-from .bounds import AttractorAtlas, brute_bound, check_bound_size, check_range_size
-from .digitcli import _digit_system
+from .bounds import (AttractorAtlas, brute_bound, check_bound_size, check_range_size,
+                     check_weight_size)
 from .digitmap import DigitSystem
 from .limits import TooLargeError, brief
 
@@ -51,7 +51,8 @@ def _range_stage(name: str, atlas: AttractorAtlas, lo: int, hi: int,
 def cmd_certify(args) -> int:
     if args.p_max > MAX_P_MAX:
         raise TooLargeError(f"--p-max {brief(args.p_max)} is above the limit of {MAX_P_MAX}")
-    system = _digit_system(args)
+    system = DigitSystem(args.base, args.exp)
+    check_weight_size(system)
     p_max = max(args.p_max, cli.digit_reduction_threshold(system))
     lo = args.lo if args.lo is not None else 0
     hi = args.hi if args.hi is not None else brute_bound(system)

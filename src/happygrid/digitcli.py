@@ -1,13 +1,13 @@
-"""The digit commands traj, classify and happy, and attractors, with their
-caps, the atlas record and the atlas cache.
+"""The digit commands traj, classify and happy, and attractors, with the
+traj work cap, the atlas record and the atlas cache.
 
-`cli.main` runs this module's commands, and `certcli` runs certify with
-`_digit_system` from here.  The commands call every library function that
-`cli` binds through `cli`, where perfbench wraps and tests patch them, and
-read `cli.MAX_START_DIGITS`, which `main` also reads, so a wrapper or a
+`cli.main` runs this module's commands.  They call every library function
+that `cli` binds through `cli`, where perfbench wraps and tests patch them,
+and read `cli.MAX_START_DIGITS`, which `main` also reads, so a wrapper or a
 patch on `cli` reaches the call made here.
 
-This module imports from `bounds` and never from `certify`.  `traj` needs
+This module imports from `bounds`, where the weight cap and its check live,
+and never from `certify` or another command module.  `traj` needs
 p0 and a step budget but no atlas, so it compiles neither `certify` nor
 `certcli`; the atlas commands load `certify` when they first read
 `cli.validate_atlas` or `cli.enumerate_attractors`.
@@ -23,20 +23,10 @@ import sys
 from pathlib import Path
 
 from . import __version__, cli
-from .bounds import AttractorAtlas, CertificationError, brute_bound
+from .bounds import AttractorAtlas, CertificationError, brute_bound, check_weight_size
 from .digitmap import DigitSystem, map_units
 from .dynamics import BudgetExceededError, Cycle
 from .limits import TooLargeError, brief
-
-# The digit weight (base - 1)**exponent, counted as exponent times the bit
-# length of base - 1, holds at most this many bits.  Every digit of a value
-# adds a power of that size, and the threshold scan grows quadratically with
-# it.  At 2**15 bits the scan takes 0.01-0.03 s.  The second and third map
-# steps from 5 take 1-9 ms in bases 3 to 1024, which read their digit powers
-# from a table built once in 0.1 s or less, and 0.03-0.3 s in bases 2**16 and
-# 10**6 + 1, which compute each power.  Base 10 with exponent 20,000 takes
-# 0.02 s a step and exponent 100,000 0.6 s (Python 3.11, 2-vCPU Xeon).
-MAX_WEIGHT_BITS = 2**15
 
 # `traj` walks at most this much work, each step counting digitmap.map_units
 # at p0 digits: a walk that has not repeated by then exits 2, and so does a
@@ -158,11 +148,9 @@ def load_or_build_atlas(system: DigitSystem, cache_dir: Path) -> AttractorAtlas:
 
 def _digit_system(args) -> DigitSystem:
     """The digit system of --base and --exp, refused above MAX_WEIGHT_BITS before any work."""
-    bits = args.exp * (args.base - 1).bit_length()
-    if bits > MAX_WEIGHT_BITS:
-        raise TooLargeError(f"the digit weight (base - 1)**exponent holds up to {bits} bits, "
-                            f"above the limit of {MAX_WEIGHT_BITS}")
-    return DigitSystem(args.base, args.exp)
+    system = DigitSystem(args.base, args.exp)
+    check_weight_size(system)
+    return system
 
 
 def _start_value(digits: str, system: DigitSystem) -> tuple[int, int]:

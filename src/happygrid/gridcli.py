@@ -4,7 +4,8 @@ grid check that grid verify's share runner calls.
 `cli.main` runs this module's commands.  They call every grid kernel that
 `cli` binds through `cli`, where perfbench wraps and tests patch them, so
 a wrapper or a patch on `cli` reaches the call made here, in a forked
-share too.
+share too, and write their records with `cli`'s canonical JSON text.  No
+other command module is imported.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from operator import le
 from pathlib import Path
 
 from . import cli
-from .canonical import Json
 from .gridsort import Grid, GridParseError, MergeStep, format_grid, format_row, is_cols_sorted
 from .limits import TooLargeError, brief
 
@@ -136,10 +136,10 @@ def cmd_grid_sort(args) -> int:
     return cli.EXIT_OK
 
 
-def _json_row(row) -> Json:
+def _json_row(row) -> cli.Json:
     # a row of a trace snapshot is written four levels deep: in the record,
     # the trace list, the snapshot and its grid list
-    return Json(cli.dumps_canonical(row)[:-1].replace("\n", "\n        "))
+    return cli.Json(cli.dumps_canonical(row)[:-1].replace("\n", "\n        "))
 
 
 def _rendered_trace(grid: Grid, render_row) -> Iterator[tuple[MergeStep, list]]:

@@ -1615,12 +1615,13 @@ GRID_HALF = {"happygrid.gridsort", "happygrid.shares", "happygrid.gridcli"}
     (["--version"], DIGIT_HALF | GRID_HALF),
     (["grid", "sort", "GRID"], DIGIT_HALF),
     (["grid", "verify", "--trials", "10"], DIGIT_HALF),
-    # only certify loads certcli, and traj, which needs no atlas, no certify
+    # only certify loads certcli, and not digitcli; traj, which needs no
+    # atlas, loads no certify
     (["classify", "7", "--cache-dir", "CACHE"], GRID_HALF | {"happygrid.certcli"}),
     (["happy", "7", "--cache-dir", "CACHE"], GRID_HALF | {"happygrid.certcli"}),
     (["traj", "7"], GRID_HALF | {"happygrid.certify", "happygrid.certcli"}),
     (["attractors", "--cache-dir", "CACHE"], GRID_HALF | {"happygrid.certcli"}),
-    (["certify", "--exp", "3"], GRID_HALF),
+    (["certify", "--exp", "3"], GRID_HALF | {"happygrid.digitcli"}),
 ], ids=["import", "version", "grid-sort", "grid-verify", "classify", "happy", "traj",
         "attractors", "certify"])
 def test_each_command_loads_only_its_own_half(tmp_path, argv, absent):
@@ -1648,6 +1649,22 @@ def test_each_command_loads_only_its_own_half(tmp_path, argv, absent):
     loaded = set(result.stdout.split())
     assert "happygrid" in loaded
     assert not loaded & absent, sorted(loaded & absent)
+    if argv == ["--version"]:
+        # the argument grammar and the canonical JSON text live in cli itself
+        assert loaded == {"happygrid", "happygrid.cli", "happygrid.limits"}
+
+
+def test_command_modules_import_no_other_command_module():
+    # each command module compiles only what its own commands run: the
+    # shared core is cli, and the caps two commands share live in a library
+    # module, never in another command's module
+    commands = {"digitcli", "certcli", "gridcli"}
+    for module in commands:
+        tree = ast.parse(Path(cli.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+        imported = {part for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))
+                    for part in name.split(".")}
+        assert not imported & (commands - {module}), (module, sorted(imported & commands))
 
 
 def _perfbench_targets() -> list[str]:
